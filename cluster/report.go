@@ -403,7 +403,7 @@ func (t *fleetTimeline) emit(at time.Duration, s *sim) {
 	busy := 0
 	util := make([]float64, len(s.nodes))
 	for i, n := range s.nodes {
-		busy += n.busyGroups()
+		busy += n.core.Busy()
 		if window > 0 {
 			util[i] = n.winBusy.Seconds() / (window.Seconds() * float64(n.groups))
 		}

@@ -3,16 +3,16 @@ package cluster
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"time"
 
 	"neuralcache"
+	"neuralcache/internal/node"
 	"neuralcache/plan"
 	"neuralcache/serve"
 )
 
-// Event kinds of the cluster-level discrete-event simulator. They
-// mirror serve.Simulate's, plus the lifecycle transition.
+// Event kinds of the cluster-level discrete-event simulator:
+// serve.Simulate's, plus the lifecycle transition.
 const (
 	evArrival = iota
 	evCompletion
@@ -71,20 +71,13 @@ func (st nodeState) String() string {
 	return "down"
 }
 
-// modelQueue is one model's admitted, undispatched arrivals on one
-// node.
-type modelQueue struct {
-	at   []time.Duration
-	head int
-}
-
-func (q *modelQueue) qlen() int { return len(q.at) - q.head }
-
-// simNode is one node's complete scheduling state: the same admission
-// queue, per-model micro-batching and warm-first / plan-aware group
-// selection the single-node tier applies (via serve.PickWarmFirst and
-// serve.PickPlannedGroup), plus lifecycle state.
+// simNode is one node: its node core — the same admission queue,
+// per-model micro-batching and warm-first / plan-aware group selection
+// serve.Simulate and serve.Server drive — plus lifecycle state and
+// accounting. It is the core's Clock on the fleet's virtual clock.
 type simNode struct {
+	s       *sim
+	index   int
 	spec    NodeSpec
 	sys     *neuralcache.System
 	backend serve.Backend
@@ -93,19 +86,9 @@ type simNode struct {
 	state nodeState
 	epoch int
 
-	queues   []modelQueue // per fleet model index
-	depth    int
-	maxDepth int
-
-	free      []bool
-	staged    []int // fleet model index staged per group; -1 = never
-	freeCount int
-
-	pin            []int // nil = reactive; -1 = overflow
-	pendingRestage map[int]int
-	ctrl           *plan.Controller
-	curPlan        *plan.Plan
-	lastLinger     time.Duration
+	core       *node.Core[struct{}]
+	maxDepth   int
+	lastLinger time.Duration
 
 	routed, served, rejected, lost int
 	batches, batched               int
@@ -114,9 +97,6 @@ type simNode struct {
 	busy, winBusy                  time.Duration
 	latencies                      []time.Duration
 }
-
-// busyGroups is the node's occupied replica-group count.
-func (n *simNode) busyGroups() int { return n.groups - n.freeCount }
 
 // modelStats is one model's fleet-level accounting.
 type modelStats struct {
@@ -143,7 +123,7 @@ type sim struct {
 	seq    uint64
 	now    time.Duration
 
-	gen      *arrivalGen
+	gen      arrivals
 	observer *mixObserver
 	tracer   *tracer
 	timeline *fleetTimeline
@@ -210,21 +190,20 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 			return nil, err
 		}
 		n := &simNode{
+			s:              s,
+			index:          len(s.nodes),
 			spec:           spec,
 			sys:            sys,
 			backend:        serve.NewAnalyticBackend(sys, models[0], models[1:]...),
 			groups:         spec.Replicas,
-			queues:         make([]modelQueue, len(models)),
-			free:           make([]bool, spec.Replicas),
-			staged:         make([]int, spec.Replicas),
-			freeCount:      spec.Replicas,
 			servedPerModel: make([]int, len(models)),
 			lastLinger:     -1,
 		}
-		for g := range n.free {
-			n.free[g] = true
-			n.staged[g] = -1
-		}
+		n.core = node.New[struct{}](node.Config{
+			Models: s.names, Groups: spec.Replicas,
+			MaxBatch: spec.MaxBatch, MaxLinger: spec.MaxLinger,
+			Drift: o.Trace != nil,
+		}, n)
 		s.nodes = append(s.nodes, n)
 	}
 	s.observer = newMixObserver(o.ObserverHalfLife, len(models))
@@ -241,9 +220,9 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		s.initialMix = []plan.Share{{Model: s.names[0], Weight: 1}}
 	}
 	s.planRate = load.Rate / float64(len(s.nodes))
-	for ni, n := range s.nodes {
+	for _, n := range s.nodes {
 		if n.spec.Plan {
-			if err := s.planNode(ni, n, s.initialMix); err != nil {
+			if err := s.planNode(n, s.initialMix); err != nil {
 				return nil, err
 			}
 		}
@@ -270,10 +249,12 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 				return nil, err
 			}
 		case evCompletion:
-			s.onCompletion(e)
+			if err := s.onCompletion(e); err != nil {
+				return nil, err
+			}
 		case evRestage:
 			if n := s.nodes[e.node]; e.epoch == n.epoch {
-				if err := s.freeOrRestage(e.node, n, e.shard); err != nil {
+				if err := n.core.Release(e.shard); err != nil {
 					return nil, err
 				}
 			}
@@ -308,12 +289,13 @@ func (s *sim) push(e *event) {
 	heap.Push(&s.events, e)
 }
 
-// planNode computes and adopts a residency plan for the node from the
-// given shares, pre-staging every pinned group. Zero-weight shares are
-// floored to a tiny epsilon so every registered model keeps a warm set
-// (the plan has no overflow pool; an unpinned model's requests could
-// never dispatch) — the same rationale as plan.Rebalance's floor.
-func (s *sim) planNode(ni int, n *simNode, shares []plan.Share) error {
+// planNode computes a residency plan for the node from the given
+// shares and starts its core on it, pre-staging every pinned group.
+// Zero-weight shares are floored to a tiny epsilon so every registered
+// model keeps a warm set (the plan has no overflow pool; an unpinned
+// model's requests could never dispatch) — the same rationale as
+// plan.Rebalance's floor.
+func (s *sim) planNode(n *simNode, shares []plan.Share) error {
 	floored := make([]plan.Share, len(shares))
 	copy(floored, shares)
 	for i := range floored {
@@ -329,93 +311,44 @@ func (s *sim) planNode(ni int, n *simNode, shares []plan.Share) error {
 	if err != nil {
 		return fmt.Errorf("cluster: node %s: %w", n.spec.Name, err)
 	}
-	if err := s.adoptPlan(n, p); err != nil {
-		return err
-	}
-	for g, mi := range n.pin {
-		if mi >= 0 {
-			if err := s.beginRestage(ni, n, g, mi); err != nil {
-				return err
-			}
-		}
-	}
+	var ctrl *plan.Controller
 	if n.spec.Replan.Enabled() {
-		ctrl, err := plan.NewController(n.sys, s.models, p, n.spec.Replan)
-		if err != nil {
+		if ctrl, err = plan.NewController(n.sys, s.models, p, n.spec.Replan); err != nil {
 			return fmt.Errorf("cluster: node %s: %w", n.spec.Name, err)
 		}
-		n.ctrl = ctrl
+	}
+	if err := n.core.Start(p, ctrl); err != nil {
+		return fmt.Errorf("cluster: node %s: %w", n.spec.Name, err)
 	}
 	return nil
 }
 
-// adoptPlan resolves a plan's pinned assignment against the fleet
-// registry.
-func (s *sim) adoptPlan(n *simNode, p *plan.Plan) error {
-	if p.Groups != n.groups {
-		return fmt.Errorf("cluster: node %s plan assigns %d groups, node schedules %d", n.spec.Name, p.Groups, n.groups)
-	}
-	pin := make([]int, n.groups)
-	for g := range pin {
-		pin[g] = -1
-	}
-	for _, mp := range p.Models {
-		mi, err := s.resolve(mp.Model)
-		if err != nil {
-			return err
-		}
-		for _, g := range mp.Groups {
-			if g < 0 || g >= n.groups {
-				return fmt.Errorf("cluster: node %s plan pins %s to group %d of %d", n.spec.Name, mp.Model, g, n.groups)
-			}
-			pin[g] = mi
-		}
-	}
-	n.pin = pin
-	n.curPlan = p
-	if n.pendingRestage == nil {
-		n.pendingRestage = make(map[int]int)
-	}
-	return nil
-}
-
-// beginRestage stages model mi's weights onto the node's group g,
-// holding the group busy for the reload time.
-func (s *sim) beginRestage(ni int, n *simNode, g, mi int) error {
-	if n.free[g] {
-		n.free[g] = false
-		n.freeCount--
-	}
+// Restage implements node.Clock: the group streams model mi's weights
+// for the reload time, released by an evRestage of this incarnation.
+func (n *simNode) Restage(g, mi, from int) error {
+	s := n.s
 	rel, err := n.backend.ReloadTime(s.names[mi], n.spec.GroupSize)
 	if err != nil {
 		return err
 	}
-	from := ""
-	if prev := n.staged[g]; prev >= 0 {
-		from = s.names[prev]
+	evicted := ""
+	if from >= 0 {
+		evicted = s.names[from]
 	}
-	n.staged[g] = mi
-	s.push(&event{at: s.now + rel, kind: evRestage, node: ni, epoch: n.epoch, shard: g})
+	s.push(&event{at: s.now + rel, kind: evRestage, node: n.index, epoch: n.epoch, shard: g})
 	n.restages++
 	n.busy += rel
 	n.winBusy += rel
-	s.tracer.restage(ni, g, s.names[mi], from, s.now, rel)
+	s.tracer.restage(n.index, g, s.names[mi], evicted, s.now, rel)
 	s.timeline.noteRestage()
 	return nil
 }
 
-// freeOrRestage releases a group whose batch or restage finished,
-// unless a controller rebalance queued on it meanwhile.
-func (s *sim) freeOrRestage(ni int, n *simNode, g int) error {
-	if mi, ok := n.pendingRestage[g]; ok {
-		delete(n.pendingRestage, g)
-		if n.staged[g] != mi {
-			return s.beginRestage(ni, n, g, mi)
-		}
-	}
-	n.free[g] = true
-	n.freeCount++
-	return nil
+// Replanned implements node.Clock.
+func (n *simNode) Replanned(now time.Duration, drift float64, ops int) {
+	n.replans++
+	n.s.tracer.replan(n.index, now, n.replans, drift, ops)
+	n.s.timeline.noteReplan()
 }
 
 // views snapshots every node for a routing decision.
@@ -426,9 +359,9 @@ func (s *sim) views() []NodeView {
 			Index:      i,
 			Name:       n.spec.Name,
 			Accepting:  n.state == stateLive,
-			QueueDepth: n.depth,
+			QueueDepth: n.core.Depth(),
 			QueueLimit: n.spec.QueueDepth,
-			BusyGroups: n.busyGroups(),
+			BusyGroups: n.core.Busy(),
 			Groups:     n.groups,
 		}
 	}
@@ -458,7 +391,7 @@ func (s *sim) onArrival(e *event) error {
 	default:
 		n := s.nodes[pick]
 		n.routed++
-		if n.depth >= n.spec.QueueDepth {
+		if n.core.Depth() >= n.spec.QueueDepth {
 			s.rejectedFull++
 			n.rejected++
 			st.rejected++
@@ -466,12 +399,8 @@ func (s *sim) onArrival(e *event) error {
 			s.tracer.rejectFull(pick, s.names[mi], s.now)
 			break
 		}
-		q := &n.queues[mi]
-		q.at = append(q.at, s.now)
-		n.depth++
-		if n.depth > n.maxDepth {
-			n.maxDepth = n.depth
-		}
+		n.core.Push(mi, s.now, struct{}{})
+		n.maxDepth = max(n.maxDepth, n.core.Depth())
 		s.depth++
 		if s.depth > s.maxDepth {
 			s.maxDepth = s.depth
@@ -487,7 +416,7 @@ func (s *sim) onArrival(e *event) error {
 	return nil
 }
 
-func (s *sim) onCompletion(e *event) {
+func (s *sim) onCompletion(e *event) error {
 	n := s.nodes[e.node]
 	if e.epoch != n.epoch {
 		// The batch was in flight when its node was killed: the node's
@@ -496,12 +425,10 @@ func (s *sim) onCompletion(e *event) {
 		s.lost += k
 		n.lost += k
 		s.perModel[e.model].lost += k
-		return
+		return nil
 	}
-	if err := s.freeOrRestage(e.node, n, e.shard); err != nil {
-		// beginRestage can only fail on an unknown model, which adopt
-		// already resolved; keep the signature simple.
-		panic(err)
+	if err := n.core.Release(e.shard); err != nil {
+		return err
 	}
 	st := s.perModel[e.model]
 	k := len(e.arrivals)
@@ -519,6 +446,7 @@ func (s *sim) onCompletion(e *event) {
 		n.latencies = append(n.latencies, lat)
 		st.latencies = append(st.latencies, lat)
 	}
+	return nil
 }
 
 func (s *sim) onLifecycle(e *event) error {
@@ -531,28 +459,17 @@ func (s *sim) onLifecycle(e *event) error {
 		s.tracer.lifecycle(e.node, KillNode, s.now)
 		// Queued requests die with the node; in-flight batches are
 		// counted lost when their stale-epoch completions pop.
-		for mi := range n.queues {
-			q := &n.queues[mi]
-			if l := q.qlen(); l > 0 {
+		for mi := range s.names {
+			if l := n.core.Len(mi); l > 0 {
 				s.lost += l
 				n.lost += l
 				s.perModel[mi].lost += l
 			}
-			q.at, q.head = nil, 0
 		}
-		s.depth -= n.depth
-		n.depth = 0
+		s.depth -= n.core.Depth()
+		n.core.Reset()
 		n.epoch++
 		n.state = stateDown
-		for g := range n.free {
-			n.free[g] = true
-			n.staged[g] = -1
-		}
-		n.freeCount = n.groups
-		n.pin = nil
-		n.pendingRestage = nil
-		n.ctrl = nil
-		n.curPlan = nil
 		n.lastLinger = -1
 	case DrainNode:
 		if n.state != stateLive {
@@ -577,7 +494,7 @@ func (s *sim) onLifecycle(e *event) error {
 				if shares == nil {
 					shares = s.initialMix
 				}
-				if err := s.planNode(e.node, n, shares); err != nil {
+				if err := s.planNode(n, shares); err != nil {
 					return err
 				}
 			}
@@ -590,133 +507,43 @@ func (s *sim) onLifecycle(e *event) error {
 // tryDispatchAll applies each non-down node's micro-batching policy;
 // draining nodes keep dispatching their queued work.
 func (s *sim) tryDispatchAll() error {
-	for ni, n := range s.nodes {
+	for _, n := range s.nodes {
 		if n.state == stateDown {
 			continue
 		}
-		if err := s.tryDispatch(ni, n); err != nil {
+		if err := s.tryDispatch(n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// tryDispatch is the single-node ready/linger loop, verbatim from
-// serve.Simulate: a model is ready with a full batch or a lingered
-// head; among ready models the oldest head dispatches first, onto the
-// group serve's shared pick policy chooses.
-func (s *sim) tryDispatch(ni int, n *simNode) error {
-	var ready []int
-	for n.depth > 0 && n.freeCount > 0 {
-		nextDeadline := time.Duration(-1)
-		best := -1
-		var bestAt time.Duration
-		ready = ready[:0]
-		for mi := range n.queues {
-			q := &n.queues[mi]
-			if q.qlen() == 0 {
-				continue
+// tryDispatch dispatches every batch the node core's ready pick allows
+// now; when nothing is ready it schedules the earliest linger deadline.
+func (s *sim) tryDispatch(n *simNode) error {
+	for {
+		mi, deadline := n.core.Ready(s.now)
+		if mi < 0 {
+			if deadline >= 0 && deadline != n.lastLinger {
+				s.push(&event{at: deadline, kind: evLinger, node: n.index})
+				n.lastLinger = deadline
 			}
-			head := q.at[q.head]
-			if q.qlen() < n.spec.MaxBatch && s.now < head+n.spec.MaxLinger {
-				if dl := head + n.spec.MaxLinger; nextDeadline < 0 || dl < nextDeadline {
-					nextDeadline = dl
-				}
-				continue
-			}
-			if n.pin == nil {
-				if best < 0 || head < bestAt {
-					best, bestAt = mi, head
-				}
-			} else {
-				ready = append(ready, mi)
-			}
-		}
-		scheduleLinger := func() {
-			if nextDeadline >= 0 && nextDeadline != n.lastLinger {
-				s.push(&event{at: nextDeadline, kind: evLinger, node: ni})
-				n.lastLinger = nextDeadline
-			}
-		}
-		if n.pin == nil {
-			if best < 0 {
-				scheduleLinger()
-				return nil
-			}
-			shard, warm, _ := s.claimShard(n, best)
-			if err := s.dispatchBatch(ni, n, best, shard, warm); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(ready) == 0 {
-			scheduleLinger()
 			return nil
 		}
-		sort.SliceStable(ready, func(i, j int) bool {
-			a, b := &n.queues[ready[i]], &n.queues[ready[j]]
-			return a.at[a.head] < b.at[b.head]
-		})
-		dispatched := false
-		for _, mi := range ready {
-			shard, warm, ok := s.claimShard(n, mi)
-			if !ok {
-				continue
-			}
-			if err := s.dispatchBatch(ni, n, mi, shard, warm); err != nil {
-				return err
-			}
-			dispatched = true
-			break
-		}
-		if !dispatched {
-			scheduleLinger()
-			return nil
+		if err := s.dispatchBatch(n, mi); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
-// claimShard claims the node's best free group for the model via the
-// serving tier's shared policies.
-func (s *sim) claimShard(n *simNode, model int) (id int, warm, ok bool) {
-	if n.pin == nil {
-		id, warm = serve.PickWarmFirst(n.free, n.staged, model)
-		if id < 0 {
-			panic("cluster: claimShard with no free group")
-		}
-	} else {
-		id, warm = serve.PickPlannedGroup(n.free, n.staged, n.pin, model)
-		if id < 0 {
-			return -1, false, false
-		}
-	}
-	n.free[id] = false
-	n.freeCount--
-	if !warm {
-		n.staged[id] = model
-	}
-	return id, warm, true
-}
-
-// dispatchBatch pops one batch of the model onto the claimed group and
-// schedules its completion, feeding the node's drift controller.
-func (s *sim) dispatchBatch(ni int, n *simNode, mi, shard int, warmHit bool) error {
-	q := &n.queues[mi]
-	take := q.qlen()
-	if take > n.spec.MaxBatch {
-		take = n.spec.MaxBatch
-	}
-	batch := append([]time.Duration(nil), q.at[q.head:q.head+take]...)
-	q.head += take
-	n.depth -= take
+// dispatchBatch pops one batch of the model onto the group the node core
+// claims, schedules its completion and runs the controller step.
+func (s *sim) dispatchBatch(n *simNode, mi int) error {
+	at, _ := n.core.Pop(mi)
+	shard, warmHit := n.core.Claim(mi)
+	take := len(at)
+	batch := append([]time.Duration(nil), at...)
 	s.depth -= take
-	if q.head == len(q.at) {
-		q.at, q.head = q.at[:0], 0
-	} else if q.head > 4096 && q.head > len(q.at)/2 {
-		q.at = append(q.at[:0], q.at[q.head:]...)
-		q.head = 0
-	}
 	name := s.names[mi]
 	st, err := n.backend.ServiceTime(name, take, n.spec.GroupSize)
 	if err != nil {
@@ -729,11 +556,11 @@ func (s *sim) dispatchBatch(ni int, n *simNode, mi, shard int, warmHit bool) err
 		}
 	}
 	occupancy := st + rel
-	s.push(&event{at: s.now + occupancy, kind: evCompletion, node: ni, epoch: n.epoch, shard: shard, model: mi, arrivals: batch})
+	s.push(&event{at: s.now + occupancy, kind: evCompletion, node: n.index, epoch: n.epoch, shard: shard, model: mi, arrivals: batch})
 	n.batches++
 	n.batched += take
 	ms := s.perModel[mi]
-	ms.servedBy[ni] = true
+	ms.servedBy[n.index] = true
 	if warmHit {
 		n.warm++
 		ms.warm++
@@ -744,49 +571,6 @@ func (s *sim) dispatchBatch(ni int, n *simNode, mi, shard int, warmHit bool) err
 	n.busy += occupancy
 	n.winBusy += occupancy
 	s.timeline.noteDispatch(warmHit)
-	s.tracer.batch(ni, shard, name, take, !warmHit, n.batches, s.now, st, rel)
-	if n.ctrl != nil {
-		n.ctrl.Observe(name, take, s.now)
-		// Drift must be read before MaybeReplan: an applied re-plan
-		// rebases the controller's reference mix, zeroing it.
-		var drift float64
-		if s.tracer != nil {
-			drift = n.ctrl.Drift()
-		}
-		if next, ops, ok := n.ctrl.MaybeReplan(s.now); ok {
-			s.tracer.replan(ni, s.now, n.replans+1, drift, len(ops))
-			if err := s.applyReplan(ni, n, next, ops); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// applyReplan adopts a node controller's re-plan, staging the delta on
-// each group as it frees up.
-func (s *sim) applyReplan(ni int, n *simNode, next *plan.Plan, ops []plan.Restage) error {
-	if err := s.adoptPlan(n, next); err != nil {
-		return err
-	}
-	n.replans++
-	s.timeline.noteReplan()
-	clear(n.pendingRestage)
-	for _, op := range ops {
-		mi, err := s.resolve(op.To)
-		if err != nil {
-			return err
-		}
-		if n.staged[op.Group] == mi {
-			continue
-		}
-		if n.free[op.Group] {
-			if err := s.beginRestage(ni, n, op.Group, mi); err != nil {
-				return err
-			}
-		} else {
-			n.pendingRestage[op.Group] = mi
-		}
-	}
-	return nil
+	s.tracer.batch(n.index, shard, name, take, !warmHit, n.batches, s.now, st, rel)
+	return n.core.Step(mi, take, s.now)
 }

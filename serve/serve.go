@@ -109,17 +109,23 @@ import (
 	"time"
 
 	"neuralcache"
+	"neuralcache/internal/node"
 	"neuralcache/plan"
 )
 
-// joinModelNames renders a model set as a separator-joined name list,
-// in slice order.
-func joinModelNames(models []*neuralcache.Model, sep string) string {
+// modelNames lists a model set's names in slice order.
+func modelNames(models []*neuralcache.Model) []string {
 	names := make([]string, len(models))
 	for i, m := range models {
 		names[i] = m.Name()
 	}
-	return strings.Join(names, sep)
+	return names
+}
+
+// joinModelNames renders a model set as a separator-joined name list,
+// in slice order.
+func joinModelNames(models []*neuralcache.Model, sep string) string {
+	return strings.Join(modelNames(models), sep)
 }
 
 // Errors returned by the server's admission path.
@@ -319,81 +325,6 @@ func shardFor(id, slicesPerSocket, groupSize int) Shard {
 	return sh
 }
 
-// pickShard is the warm-first group-selection policy shared by the real
-// Server's shard pool and the simulator: lowest-ordinal free replica
-// group already staging the wanted model (warm), else lowest-ordinal
-// never-staged (empty) free one, else lowest-ordinal free one. Returns
-// -1 when no group is free; the caller marks the claim and restages on
-// cold.
-func pickShard[T comparable](free []bool, staged []T, want, empty T) (id int, warm bool) {
-	bestFree, bestEmpty := -1, -1
-	for i, f := range free {
-		if !f {
-			continue
-		}
-		if staged[i] == want {
-			return i, true
-		}
-		if staged[i] == empty && bestEmpty < 0 {
-			bestEmpty = i
-		}
-		if bestFree < 0 {
-			bestFree = i
-		}
-	}
-	if bestEmpty >= 0 {
-		bestFree = bestEmpty
-	}
-	return bestFree, false
-}
-
-// pickPlanned is the plan-aware variant of pickShard: the model may
-// claim its own pinned groups and the overflow pool, never another
-// model's pinned groups. Preference order: warm pinned > warm overflow
-// > cold pinned > never-staged overflow > any overflow (evict). Returns
-// -1 when no eligible group is free — unlike the reactive policy, a
-// free-but-foreign group does not count.
-func pickPlanned[T comparable](free []bool, staged, pinned []T, want, none, empty T) (id int, warm bool) {
-	coldPinned, overWarm, overEmpty, overAny := -1, -1, -1, -1
-	for i, f := range free {
-		if !f {
-			continue
-		}
-		switch pinned[i] {
-		case want:
-			if staged[i] == want {
-				return i, true
-			}
-			if coldPinned < 0 {
-				coldPinned = i
-			}
-		case none:
-			switch {
-			case staged[i] == want:
-				if overWarm < 0 {
-					overWarm = i
-				}
-			case staged[i] == empty:
-				if overEmpty < 0 {
-					overEmpty = i
-				}
-			}
-			if overAny < 0 {
-				overAny = i
-			}
-		}
-	}
-	if overWarm >= 0 {
-		return overWarm, true
-	}
-	for _, id := range []int{coldPinned, overEmpty, overAny} {
-		if id >= 0 {
-			return id, false
-		}
-	}
-	return -1, false
-}
-
 // planServable checks that a plan leaves every registered model an
 // eligible replica group: a pinned warm set, or at least one overflow
 // group to serve from cold. Without one, that model's requests would
@@ -416,20 +347,39 @@ func planServable(p *plan.Plan, models []*neuralcache.Model) error {
 	return nil
 }
 
-// resolvePinned maps a plan's per-group model names onto backend
-// registry lookups, validating every name.
-func resolvePinned(p *plan.Plan, backend Backend) ([]string, error) {
-	for _, mp := range p.Models {
-		if _, err := backend.Lookup(mp.Model); err != nil {
-			return nil, fmt.Errorf("serve: plan names unregistered model %q", mp.Model)
-		}
-		for _, g := range mp.Groups {
-			if g < 0 || g >= p.Groups {
-				return nil, fmt.Errorf("serve: plan pins model %s to group %d of %d", mp.Model, g, p.Groups)
-			}
+// startPlan adopts Options.Plan on a fresh core — every pinned group
+// pre-stages its model — with the drift controller attached when
+// Options.Replan is set. Without a plan the core stays reactive.
+func startPlan[T any](core *node.Core[T], backend Backend, o Options) error {
+	if o.Plan == nil {
+		return nil
+	}
+	if err := planServable(o.Plan, backend.Models()); err != nil {
+		return err
+	}
+	var ctrl *plan.Controller
+	if o.Replan.Enabled() {
+		var err error
+		if ctrl, err = plan.NewController(backend.System(), backend.Models(), o.Plan, o.Replan); err != nil {
+			return err
 		}
 	}
-	return p.Pinned(), nil
+	if err := core.Start(o.Plan, ctrl); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	return nil
+}
+
+// coreConfig sizes a node core for the options over the registered
+// models.
+func (o Options) coreConfig(models []*neuralcache.Model) node.Config {
+	return node.Config{
+		Models:    modelNames(models),
+		Groups:    o.Replicas,
+		MaxBatch:  o.MaxBatch,
+		MaxLinger: o.MaxLinger,
+		Drift:     o.Trace != nil,
+	}
 }
 
 // ShardUsage is one replica group's occupancy accounting.

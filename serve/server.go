@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"neuralcache"
+	"neuralcache/internal/node"
 	"neuralcache/plan"
 )
 
@@ -51,201 +53,19 @@ type Response struct {
 type request struct {
 	id       uint64
 	model    string // resolved registered model name
+	mi       int    // the model's registry index
 	input    *neuralcache.Tensor
 	ctx      context.Context
 	enqueued time.Time
 	resp     chan *Response // buffered, capacity 1
 }
 
-// restageOp is one pending planner restage on a group: stage model's
-// weights, paying cost, before the group frees.
-type restageOp struct {
-	model string
-	cost  time.Duration
-}
-
-// shardPool tracks the free replica groups and which model's weights
-// each one has staged. Acquisition is warm-first: a free group already
-// staging the requested model wins over an unstaged one, which wins over
-// evicting another model's weights. Under a residency plan (pinned set)
-// acquisition is plan-aware instead: a model may claim its own pinned
-// groups and the overflow pool, never another model's pinned groups.
-// Only the batcher acquires (single consumer); executor goroutines
-// release.
-type shardPool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	free   []bool
-	staged []string // model staged on each replica; "" = never staged
-	pinned []string // per-group pinned model under a plan; nil = reactive
-	// pendingRestage holds controller rebalances waiting for a busy
-	// group's batch to finish.
-	pendingRestage map[int]restageOp
-	// freed wakes the batcher's eligibility wait (planned servers only;
-	// capacity-1, lossy — a pending token already guarantees a wakeup).
-	freed chan struct{}
-}
-
-func newShardPool(n int) *shardPool {
-	p := &shardPool{
-		free:           make([]bool, n),
-		staged:         make([]string, n),
-		pendingRestage: make(map[int]restageOp),
-		freed:          make(chan struct{}, 1),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	for i := range p.free {
-		p.free[i] = true
-	}
-	return p
-}
-
-// wake nudges the batcher's eligibility wait without blocking.
-func (p *shardPool) wake() {
-	select {
-	case p.freed <- struct{}{}:
-	default:
-	}
-}
-
-// acquire blocks until an eligible replica group is free and claims the
-// best one for model — the shared warm-first policy (pickShard), or the
-// plan-aware one (pickPlanned) when a pinned set is installed. It
-// reports whether the claim was warm; a cold claim restages the group
-// to model.
-func (p *shardPool) acquire(model string) (id int, warm bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.pinned == nil {
-			id, warm = pickShard(p.free, p.staged, model, "")
-		} else {
-			id, warm = pickPlanned(p.free, p.staged, p.pinned, model, "", "")
-		}
-		if id >= 0 {
-			p.free[id] = false
-			if !warm {
-				p.staged[id] = model
-			}
-			return id, warm
-		}
-		p.cond.Wait()
-	}
-}
-
-// hasEligible reports whether some free group may serve the model right
-// now — used by the planned batcher to skip models whose pools are busy
-// instead of head-of-line-blocking in acquire.
-func (p *shardPool) hasEligible(model string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pinned == nil {
-		for _, f := range p.free {
-			if f {
-				return true
-			}
-		}
-		return false
-	}
-	id, _ := pickPlanned(p.free, p.staged, p.pinned, model, "", "")
-	return id >= 0
-}
-
-// busyCount returns how many replica groups are currently claimed
-// (serving a batch or restaging weights).
-func (p *shardPool) busyCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, f := range p.free {
-		if !f {
-			n++
-		}
-	}
-	return n
-}
-
-// planned reports whether a pinned set is installed.
-func (p *shardPool) planned() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pinned != nil
-}
-
-// release frees the group — unless a controller restage is pending on
-// it, in which case the group stays claimed, the new model's weights
-// are staged, and the caller must pay op.cost before finishRestage.
-func (p *shardPool) release(id int) (op restageOp, restage bool) {
-	p.mu.Lock()
-	if op, ok := p.pendingRestage[id]; ok {
-		delete(p.pendingRestage, id)
-		if p.staged[id] != op.model {
-			p.staged[id] = op.model
-			p.mu.Unlock()
-			return op, true
-		}
-	}
-	p.free[id] = true
-	p.mu.Unlock()
-	p.cond.Signal()
-	p.wake()
-	return restageOp{}, false
-}
-
-// finishRestage frees a group whose planner restage has completed —
-// unless a newer rebalance queued on it meanwhile, in which case the
-// group stays claimed, the newly pinned model's weights are staged, and
-// the caller must pay op.cost before calling finishRestage again.
-func (p *shardPool) finishRestage(id int) (op restageOp, again bool) {
-	p.mu.Lock()
-	if op, ok := p.pendingRestage[id]; ok {
-		delete(p.pendingRestage, id)
-		if p.staged[id] != op.model {
-			p.staged[id] = op.model
-			p.mu.Unlock()
-			return op, true
-		}
-	}
-	p.free[id] = true
-	p.mu.Unlock()
-	p.cond.Signal()
-	p.wake()
-	return restageOp{}, false
-}
-
-// replan installs a new pinned set and queues the restage ops: ops on
-// free groups are claimed and returned for the caller to pay their
-// reload (then finishRestage); ops on busy groups wait for release.
-// Groups already staging the op's target skip the physical restage.
-func (p *shardPool) replan(pinned []string, ops []plan.Restage) []plan.Restage {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pinned = pinned
-	// Drop restages queued by a superseded plan: a stale op would
-	// stage a model no longer pinned to the group. A group left
-	// staged-mismatched pays one cold dispatch on its next claim.
-	clear(p.pendingRestage)
-	var now []plan.Restage
-	for _, op := range ops {
-		if op.Group < 0 || op.Group >= len(p.free) || p.staged[op.Group] == op.To {
-			continue
-		}
-		if p.free[op.Group] {
-			p.free[op.Group] = false
-			p.staged[op.Group] = op.To
-			now = append(now, op)
-		} else {
-			p.pendingRestage[op.Group] = restageOp{model: op.To, cost: op.Cost}
-		}
-	}
-	p.wake()
-	return now
-}
-
 // Server is the asynchronous inference service: a bounded admission
-// queue feeding a dynamic micro-batcher that forms per-model batches and
-// dispatches them to free replica groups, warm-first. Create with
-// NewServer, stop with Close.
+// queue feeding a batcher goroutine that drives the node scheduling core
+// (package internal/node) on the wall clock — per-model micro-batches,
+// dispatched onto free replica groups warm-first (plan-aware under a
+// residency plan), with the drift controller step following each claim
+// exactly as in Simulate. Create with NewServer, stop with Close.
 type Server struct {
 	backend   Backend
 	opts      Options
@@ -253,7 +73,19 @@ type Server struct {
 	groupSize int // slices per replica group
 
 	queue chan *request
-	pool  *shardPool
+
+	// core is the node scheduler — per-model queues and replica-group
+	// state, indexed by registry order (names) — guarded by coreMu. The
+	// batcher queues, picks and claims; executor and restage goroutines
+	// release. groupFreed wakes a Close-time flush waiting on busy
+	// groups; freed wakes the batcher's wait (capacity-1, lossy — a
+	// pending token already guarantees a wakeup).
+	coreMu     sync.Mutex
+	groupFreed *sync.Cond
+	freed      chan struct{}
+	core       *node.Core[*request]
+	names      []string
+	index      map[string]int
 
 	// cache is the memoizing front-cache (nil when Options.Cache is
 	// off): submissions with an input tensor probe it before admission,
@@ -264,12 +96,6 @@ type Server struct {
 	// tracer records the request lifecycle on the wall clock (offsets
 	// from started); nil when tracing is off — every emit is a no-op.
 	tracer *Tracer
-
-	// ctrl is the drift controller of a planned server (nil otherwise);
-	// activePlan tracks the plan currently applied, swapped on replan.
-	ctrl       *plan.Controller
-	planMu     sync.Mutex
-	activePlan *plan.Plan
 
 	mu         sync.RWMutex // guards closed against concurrent Submit/Close
 	closed     bool
@@ -283,10 +109,10 @@ type Server struct {
 	started time.Time
 
 	// depth is the admitted-minus-dispatched request count — requests in
-	// the queue channel or parked in the batcher's per-model pending
-	// lists. It is the authoritative admission bound: admit reserves a
-	// slot (depth < QueueDepth, the simulator's rule) before the queue
-	// send and dispatchFrom releases it, so concurrent submitters cannot
+	// the queue channel or parked in the core's per-model queues. It is
+	// the authoritative admission bound: admit reserves a slot (depth <
+	// QueueDepth, the simulator's rule) before the queue send and
+	// dispatch releases it, so concurrent submitters cannot
 	// under-report the high-water mark and backlog memory stays bounded.
 	depth        atomic.Int64
 	highWater    atomic.Int64
@@ -327,17 +153,25 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	registered := backend.Models()
 	s := &Server{
 		backend:     backend,
 		opts:        o,
 		slices:      sys.Config().Slices,
 		groupSize:   o.GroupSize,
 		queue:       make(chan *request, o.QueueDepth),
-		pool:        newShardPool(o.Replicas),
+		freed:       make(chan struct{}, 1),
+		names:       modelNames(registered),
+		index:       make(map[string]int, len(registered)),
 		closing:     make(chan struct{}),
 		space:       make(chan struct{}, 1),
 		batcherDone: make(chan struct{}),
 		started:     time.Now(),
+	}
+	s.groupFreed = sync.NewCond(&s.coreMu)
+	s.core = node.New[*request](o.coreConfig(registered), wallClock{s})
+	for i, name := range s.names {
+		s.index[name] = i
 	}
 	if o.Cache.Enabled() {
 		if s.cache, err = NewCache(o.Cache); err != nil {
@@ -352,125 +186,77 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	// The tracer must attach before plan adoption: startup pre-stages
 	// are part of the recorded lifecycle.
 	if o.Trace != nil {
-		registered := s.backend.Models()
-		names := make([]string, len(registered))
-		for i, m := range registered {
-			names[i] = m.Name()
-		}
 		shards := make([]Shard, o.Replicas)
 		for i := range shards {
 			shards[i] = s.stats.perShard[i].Shard
 		}
-		o.Trace.begin("wall", names, shards, o.Cache.Enabled())
+		o.Trace.begin("wall", s.names, shards, o.Cache.Enabled())
 		s.tracer = o.Trace
 	}
-	if o.Plan != nil {
-		if err := s.adoptPlan(o.Plan, o.Replan); err != nil {
-			return nil, err
-		}
+	// Pre-stages release on their own goroutines, so adopt under the
+	// core lock.
+	s.coreMu.Lock()
+	err = startPlan(s.core, backend, o)
+	s.coreMu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	go s.batcher()
 	return s, nil
 }
 
-// adoptPlan installs the residency plan on a fresh server: the pinned
-// set goes live, every pinned group pre-stages its model's weights
-// (busy for the reload time, counted as a restage), and the drift
-// controller attaches when configured. Runs before the batcher starts.
-func (s *Server) adoptPlan(p *plan.Plan, replan plan.ControllerConfig) error {
-	if err := planServable(p, s.backend.Models()); err != nil {
-		return err
+// wallClock is the Server's node.Clock: a restage sleeps out its reload
+// on its own goroutine, then releases the group.
+type wallClock struct{ s *Server }
+
+func (c wallClock) Restage(g, mi, from int) error {
+	s := c.s
+	model := s.names[mi]
+	// A registered model always prices; were it not to, the group still
+	// frees (after no wait) rather than stay claimed forever.
+	cost, _ := s.backend.ReloadTime(model, s.groupSize)
+	evicted := ""
+	if from >= 0 {
+		evicted = s.names[from]
 	}
-	pinned, err := resolvePinned(p, s.backend)
-	if err != nil {
-		return err
-	}
-	s.pool.pinned = pinned
-	s.activePlan = p
-	for g, model := range pinned {
-		if model == "" {
-			continue
-		}
-		rel, err := s.backend.ReloadTime(model, s.groupSize)
-		if err != nil {
-			return err
-		}
-		s.pool.free[g] = false
-		s.pool.staged[g] = model
-		s.noteRestage(g, model, "", rel)
-		s.execWG.Add(1)
-		go func(g int, model string, rel time.Duration) {
-			defer s.execWG.Done()
-			s.runRestage(g, model, rel)
-		}(g, model, rel)
-	}
-	if replan.Enabled() {
-		ctrl, err := plan.NewController(s.backend.System(), s.backend.Models(), p, replan)
-		if err != nil {
-			return err
-		}
-		s.ctrl = ctrl
-	}
+	s.noteRestage(g, model, evicted, cost)
+	s.execWG.Add(1)
+	go func() {
+		defer s.execWG.Done()
+		time.Sleep(cost)
+		s.release(g)
+	}()
 	return nil
+}
+
+func (c wallClock) Replanned(now time.Duration, drift float64, ops int) {
+	s := c.s
+	s.stats.Lock()
+	s.stats.replans++
+	nth := int(s.stats.replans)
+	s.stats.Unlock()
+	s.tracer.replan(now, nth, drift, ops)
+}
+
+// release ends group g's batch or restage (chaining into a restage a
+// re-plan queued on it) and wakes whoever waits for a free group.
+func (s *Server) release(g int) {
+	s.coreMu.Lock()
+	_ = s.core.Release(g) // wallClock.Restage never fails
+	s.coreMu.Unlock()
+	s.groupFreed.Signal()
+	select {
+	case s.freed <- struct{}{}:
+	default:
+	}
 }
 
 // Plan returns the residency plan currently applied (the last
 // controller re-plan, or Options.Plan), nil for reactive servers.
 func (s *Server) Plan() *plan.Plan {
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	return s.activePlan
-}
-
-// applyReplan swaps in a controller re-plan from the batcher goroutine:
-// the pool repins, free groups restage immediately on their own
-// goroutines, busy ones when their batch completes. at is the
-// server-relative time the re-plan fired, drift the controller's mix
-// TV-distance that triggered it — both only feed the tracer.
-func (s *Server) applyReplan(next *plan.Plan, ops []plan.Restage, at time.Duration, drift float64) {
-	// The controller's rebalance keeps every registered model servable
-	// and only names registered models; these guards hold that
-	// invariant at the boundary — on a breach, keep serving on the old
-	// pinned set rather than strand a model's requests.
-	if planServable(next, s.backend.Models()) != nil {
-		return
-	}
-	pinned, err := resolvePinned(next, s.backend)
-	if err != nil {
-		return
-	}
-	s.planMu.Lock()
-	s.activePlan = next
-	s.planMu.Unlock()
-	s.stats.Lock()
-	s.stats.replans++
-	nth := int(s.stats.replans)
-	s.stats.Unlock()
-	s.tracer.replan(at, nth, drift, len(ops))
-	for _, op := range s.pool.replan(pinned, ops) {
-		s.noteRestage(op.Group, op.To, "", op.Cost)
-		s.execWG.Add(1)
-		go func(op plan.Restage) {
-			defer s.execWG.Done()
-			s.runRestage(op.Group, op.To, op.Cost)
-		}(op)
-	}
-}
-
-// runRestage holds a claimed group through its reload, then frees it —
-// chaining into any newer rebalance that queued on the group while it
-// was restaging. staged is the model the group is currently streaming,
-// threaded so chained restages trace what they evict.
-func (s *Server) runRestage(id int, staged string, cost time.Duration) {
-	for {
-		time.Sleep(cost)
-		op, again := s.pool.finishRestage(id)
-		if !again {
-			return
-		}
-		s.noteRestage(id, op.model, staged, op.cost)
-		staged, cost = op.model, op.cost
-	}
+	s.coreMu.Lock()
+	defer s.coreMu.Unlock()
+	return s.core.Plan()
 }
 
 // noteRestage counts one planner restage on a group, charging its
@@ -500,12 +286,20 @@ func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
 
 // BusyGroups returns how many replica groups are currently claimed
 // (serving a batch or restaging weights).
-func (s *Server) BusyGroups() int { return s.pool.busyCount() }
+func (s *Server) BusyGroups() int {
+	s.coreMu.Lock()
+	defer s.coreMu.Unlock()
+	return s.core.Busy()
+}
 
 // Controller returns the drift controller of a planned server with
 // Options.Replan enabled, nil otherwise. Its read-only methods
 // (Drift, Observed) feed debug endpoints and timeline samplers.
-func (s *Server) Controller() *plan.Controller { return s.ctrl }
+func (s *Server) Controller() *plan.Controller {
+	s.coreMu.Lock()
+	defer s.coreMu.Unlock()
+	return s.core.Controller()
+}
 
 // Submit admits one request for the backend's default model and blocks
 // until it is served or ctx is done. When the admission queue is full,
@@ -595,8 +389,8 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 			mc.CacheHits++
 			s.stats.Unlock()
 			s.tracer.cacheHit(name, time.Since(s.started))
-			if s.ctrl != nil {
-				s.ctrl.ObserveCacheHit(name, time.Since(s.started))
+			if ctrl := s.Controller(); ctrl != nil {
+				ctrl.ObserveCacheHit(name, time.Since(s.started))
 			}
 			ch := make(chan *Response, 1)
 			ch <- resp
@@ -612,6 +406,7 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 	req := &request{
 		id:       s.nextID.Add(1),
 		model:    name,
+		mi:       s.index[name],
 		input:    in,
 		ctx:      ctx,
 		enqueued: time.Now(),
@@ -677,171 +472,132 @@ func (s *Server) admit(ctx context.Context, wait bool, model string) error {
 	}
 }
 
-// batcher is the single goroutine forming per-model micro-batches: it
-// collects admitted requests into one FIFO per model and dispatches a
-// model's batch when it is full (MaxBatch) or its oldest request has
-// lingered MaxLinger. When several models are ready, the one with the
-// oldest head dispatches first.
+// batcher is the single goroutine feeding the core: it queues admitted
+// requests per model and dispatches whatever the core's ready pick
+// allows — a full batch, or one whose oldest request has lingered
+// MaxLinger, onto a free group the model may claim, oldest head first.
+// Between decisions it waits for the next admission, the next linger
+// deadline or a freed group.
 func (s *Server) batcher() {
 	defer close(s.batcherDone)
-	planned := s.pool.planned()
-	var eligible func(string) bool
-	if planned {
-		eligible = s.pool.hasEligible
-	}
-	pending := make(map[string][]*request)
-	total := 0
-	add := func(r *request) {
-		pending[r.model] = append(pending[r.model], r)
-		total++
-	}
-	// drain moves every immediately available request into pending
-	// before any dispatch decision, so a backlog forms full batches
-	// instead of lingered singletons; it reports false once the queue is
-	// closed and empty.
-	drain := func() bool {
-		for {
-			select {
-			case r, ok := <-s.queue:
-				if !ok {
-					return false
-				}
-				add(r)
-			default:
-				return true
-			}
-		}
-	}
+	deadline := time.Duration(-1)
 	for {
-		if total == 0 {
+		s.coreMu.Lock()
+		idle := s.core.Depth() == 0
+		s.coreMu.Unlock()
+		if idle {
 			r, ok := <-s.queue
 			if !ok {
 				return
 			}
-			add(r)
+			s.push(r)
 		} else {
-			// Wait for the next admission or the earliest future
-			// linger deadline. A past-due head here means a ready model
-			// waiting for an eligible group (only possible planned), so
-			// it is excluded from the timer — a freed group wakes the
-			// batcher for it — while other models' future deadlines
-			// still get their timer.
-			var deadline time.Time
-			now := time.Now()
-			for _, q := range pending {
-				d := q[0].enqueued.Add(s.opts.MaxLinger)
-				if planned && !d.After(now) {
-					continue
-				}
-				if deadline.IsZero() || d.Before(deadline) {
-					deadline = d
-				}
-			}
 			var timer *time.Timer
 			var timerC <-chan time.Time
-			var freedC <-chan struct{}
-			if !deadline.IsZero() {
-				timer = time.NewTimer(time.Until(deadline))
+			if deadline >= 0 {
+				timer = time.NewTimer(time.Until(s.started.Add(deadline)))
 				timerC = timer.C
 			}
-			if planned {
-				freedC = s.pool.freed
-			}
+			var r *request
+			ok := true
 			select {
-			case r, ok := <-s.queue:
-				if timer != nil {
-					timer.Stop()
-				}
-				if !ok {
-					s.flush(pending)
-					return
-				}
-				add(r)
+			case r, ok = <-s.queue:
 			case <-timerC:
-			case <-freedC:
+			case <-s.freed:
 			}
-		}
-		for {
-			if !drain() {
-				s.flush(pending)
+			if timer != nil {
+				timer.Stop()
+			}
+			if !ok {
+				s.flush()
 				return
 			}
-			model, ok := nextReady(pending, time.Now(), s.opts, eligible)
-			if !ok {
-				break
+			if r != nil {
+				s.push(r)
 			}
-			// dispatchFrom can block a while claiming a replica, so
-			// re-drain (and re-take the clock) every iteration.
-			total -= s.dispatchFrom(pending, model)
+		}
+		if !s.drain() {
+			s.flush()
+			return
+		}
+		deadline = s.dispatchReady()
+	}
+}
+
+// push queues one admitted request on the core.
+func (s *Server) push(r *request) {
+	s.coreMu.Lock()
+	s.core.Push(r.mi, r.enqueued.Sub(s.started), r)
+	s.coreMu.Unlock()
+}
+
+// drain moves every immediately available request into the core before
+// any dispatch decision, so a backlog forms full batches instead of
+// lingered singletons; it reports false once the queue is closed and
+// empty.
+func (s *Server) drain() bool {
+	for {
+		select {
+		case r, ok := <-s.queue:
+			if !ok {
+				return false
+			}
+			s.push(r)
+		default:
+			return true
 		}
 	}
 }
 
-// nextReady picks the dispatchable model with the oldest head request: a
-// model is ready when it holds a full batch or its head has lingered
-// MaxLinger. Ties break on admission ordinal. A non-nil eligible filter
-// (planned servers) additionally requires a free group the model may
-// claim, so a busy pinned pool cannot head-of-line-block the others.
-func nextReady(pending map[string][]*request, now time.Time, opts Options, eligible func(string) bool) (string, bool) {
-	best, bestID := "", uint64(0)
-	for model, q := range pending {
-		head := q[0]
-		if len(q) < opts.MaxBatch && now.Before(head.enqueued.Add(opts.MaxLinger)) {
-			continue
+// dispatchReady dispatches every batch the core's ready pick allows and
+// returns the next linger deadline (-1 for none).
+func (s *Server) dispatchReady() time.Duration {
+	s.coreMu.Lock()
+	defer s.coreMu.Unlock()
+	for {
+		now := time.Since(s.started)
+		mi, deadline := s.core.Ready(now)
+		if mi < 0 {
+			return deadline
 		}
-		if eligible != nil && !eligible(model) {
-			continue
-		}
-		if best == "" || head.id < bestID {
-			best, bestID = model, head.id
-		}
+		s.dispatch(mi, now)
 	}
-	return best, best != ""
 }
 
-// dispatchFrom pops one batch of the model from pending and dispatches
-// it, returning how many requests it consumed. The queue-depth counter
-// drops here — not at the channel receive — so requests parked in
-// pending still count as queued, matching the simulator's accounting.
-func (s *Server) dispatchFrom(pending map[string][]*request, model string) int {
-	q := pending[model]
-	n := min(len(q), s.opts.MaxBatch)
-	batch := append([]*request(nil), q[:n]...)
-	if n == len(q) {
-		delete(pending, model)
-	} else {
-		pending[model] = q[n:]
+// flush dispatches everything still queued when the queue closes,
+// oldest head first, waiting out busy groups, so Close drains instead
+// of dropping.
+func (s *Server) flush() {
+	s.coreMu.Lock()
+	defer s.coreMu.Unlock()
+	for s.core.Depth() > 0 {
+		// At the end of time every head has lingered: the pick is the
+		// oldest head among models with a free group.
+		if mi, _ := s.core.Ready(math.MaxInt64); mi >= 0 {
+			s.dispatch(mi, time.Since(s.started))
+		} else {
+			s.groupFreed.Wait()
+		}
 	}
-	s.depth.Add(-int64(n))
+}
+
+// dispatch pops model mi's next batch, answers requests whose ctx
+// expired while queued, claims a group for the rest and runs the
+// controller step, then executes the batch on its own goroutine —
+// charging the backend's reload when the group was not already staging
+// the model. The caller holds coreMu.
+func (s *Server) dispatch(mi int, now time.Duration) {
+	model := s.names[mi]
+	_, batch := s.core.Pop(mi)
+	// The queue-depth counter drops here — not at the channel receive —
+	// so requests parked in the core still count as queued, matching
+	// the simulator's accounting.
+	s.depth.Add(-int64(len(batch)))
 	select {
 	case s.space <- struct{}{}: // wake one Submit blocked in admit
 	default:
 	}
-	s.dispatch(model, batch)
-	return n
-}
-
-// flush dispatches everything still pending when the queue closes, in
-// oldest-head-first order, so Close drains instead of dropping.
-func (s *Server) flush(pending map[string][]*request) {
-	for len(pending) > 0 {
-		best, bestID := "", uint64(0)
-		for model, q := range pending {
-			if best == "" || q[0].id < bestID {
-				best, bestID = model, q[0].id
-			}
-		}
-		s.dispatchFrom(pending, best)
-	}
-}
-
-// dispatch drops canceled requests, claims the best free replica group
-// for the model (blocking the batcher while all groups are busy — the
-// queue buffer keeps admitting meanwhile) and executes the batch on its
-// own goroutine, charging the backend's reload cost when the group was
-// not already staging this model.
-func (s *Server) dispatch(model string, batch []*request) {
-	live := batch[:0]
+	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			r.resp <- &Response{
@@ -863,23 +619,11 @@ func (s *Server) dispatch(model string, batch []*request) {
 	if len(live) == 0 {
 		return
 	}
-	if s.ctrl != nil {
-		// Feed the drift controller the served mix and apply any
-		// re-plan before claiming a group, so the new pinned set
-		// steers this very dispatch.
-		now := time.Since(s.started)
-		s.ctrl.Observe(model, len(live), now)
-		// Drift must be read before MaybeReplan: an applied re-plan
-		// rebases the controller's reference mix, zeroing it.
-		var drift float64
-		if s.tracer != nil {
-			drift = s.ctrl.Drift()
-		}
-		if next, ops, ok := s.ctrl.MaybeReplan(now); ok {
-			s.applyReplan(next, ops, now, drift)
-		}
-	}
-	id, warm := s.pool.acquire(model)
+	id, warm := s.core.Claim(mi)
+	// An invalid re-plan changes nothing and the old pinned set keeps
+	// serving; the controller only plans registered models onto
+	// existing groups, so this guards a boundary rather than a path.
+	_ = s.core.Step(mi, len(live), now)
 	dispatched := time.Now()
 	s.execWG.Add(1)
 	go func() {
@@ -963,14 +707,7 @@ func (s *Server) dispatch(model string, batch []*request) {
 			}
 			r.resp <- resp
 		}
-		if op, restage := s.pool.release(id); restage {
-			// A controller rebalance was waiting for this group: hold
-			// it through the new model's §IV-E reload before freeing.
-			// The group was staging this batch's model, so that is what
-			// the restage evicts.
-			s.noteRestage(id, op.model, model, op.cost)
-			s.runRestage(id, op.model, op.cost)
-		}
+		s.release(id)
 	}()
 }
 

@@ -3,38 +3,26 @@ package serve
 import (
 	"container/heap"
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 	"time"
 
-	"neuralcache/plan"
+	"neuralcache/internal/node"
 )
 
-// ModelShare is one model's weight in a generated traffic mix.
-type ModelShare struct {
-	// Model names a registered model; "" means the backend's default.
-	Model string `json:"model"`
-	// Weight is the model's relative share of arrivals, normalized over
-	// the mix's weight sum — weights need not sum to 1, so {7, 3} and
-	// {0.7, 0.3} draw identically. A zero weight is allowed (the model
-	// gets no generated traffic); negative, NaN and infinite weights,
-	// and mixes whose weights sum to zero, are rejected by validation.
-	Weight float64 `json:"weight"`
-}
+// ModelShare is one model's weight in a generated traffic mix: Model
+// names a registered model ("" = the backend's default) and Weight its
+// relative share of arrivals, normalized over the mix's weight sum — so
+// {7, 3} and {0.7, 0.3} draw identically. A zero weight is allowed (the
+// model gets no generated traffic); negative, NaN and infinite weights,
+// and mixes whose weights sum to zero, are rejected by validation.
+type ModelShare = node.Share
 
-// MixShift is one scheduled traffic-mix change: from At onward,
-// arrivals draw their model from Mix instead of the previous mix. The
-// serving tier's drift controller (plan.Controller via Options.Replan)
-// exists to chase exactly these shifts.
-type MixShift struct {
-	// At is the load-relative time the shift takes effect (t = 0 is the
-	// start of the arrival process).
-	At time.Duration `json:"at_ns"`
-	// Mix is the new traffic mix; the same validation and normalization
-	// rules as Load.Mix apply, and it must be non-empty.
-	Mix []ModelShare `json:"mix"`
-}
+// MixShift is one scheduled traffic-mix change: from At (load-relative,
+// t = 0 is the start of the arrival process) onward, arrivals draw
+// their model from Mix — validated like Load.Mix, and non-empty —
+// instead of the previous mix. The serving tier's drift controller
+// (plan.Controller via Options.Replan) exists to chase exactly these
+// shifts.
+type MixShift = node.MixShift
 
 // Load describes a generated arrival process. The default (Concurrency
 // 0) is open-loop: requests arrive on their own schedule regardless of
@@ -92,298 +80,31 @@ type Load struct {
 }
 
 // Reuse describes the input-repetition distribution of a generated
-// load: arrivals ask for input k with the Zipf(s) probability over a
+// load: arrivals ask for input k with the Zipf(ZipfS) probability over a
 // universe of Universe distinct inputs (k = 0 is the most popular).
 // Both fields must be set together: Universe must be positive and ZipfS
 // must exceed 1 (the math/rand Zipf sampler's domain); NaN, infinite
-// and negative skews are rejected.
-type Reuse struct {
-	// ZipfS is the Zipf skew s > 1. Production traces are commonly fit
-	// near s ≈ 1.1; larger s concentrates more mass on the head.
-	ZipfS float64
-	// Universe is the number of distinct inputs N; keys are drawn in
-	// [0, N).
-	Universe int
-}
+// and negative skews are rejected. Production traces are commonly fit
+// near s ≈ 1.1; larger s concentrates more mass on the head.
+type Reuse = node.Reuse
 
-// Enabled reports whether the load repeats inputs.
-func (r Reuse) Enabled() bool { return r != (Reuse{}) }
-
-// validate applies the reuse rules, mirroring validateMix: fail fast
-// with a clear error rather than misdraw.
-func (r Reuse) validate() error {
-	if !r.Enabled() {
-		return nil
+// spec is the load in the shared generator's terms.
+func (l Load) spec() node.Load {
+	return node.Load{
+		Rate: l.Rate, Requests: l.Requests, Duration: l.Duration, Seed: l.Seed,
+		Poisson: l.Poisson, Concurrency: l.Concurrency,
+		Mix: l.Mix, MixSchedule: l.MixSchedule, Reuse: l.Reuse,
 	}
-	if math.IsNaN(r.ZipfS) || math.IsInf(r.ZipfS, 0) || r.ZipfS < 0 {
-		return fmt.Errorf("serve: reuse Zipf skew %v", r.ZipfS)
-	}
-	if r.ZipfS <= 1 {
-		return fmt.Errorf("serve: reuse Zipf skew %v (must exceed 1)", r.ZipfS)
-	}
-	if r.Universe <= 0 {
-		return fmt.Errorf("serve: reuse universe %d (must be positive)", r.Universe)
-	}
-	return nil
 }
 
 // closed reports whether the load is closed-loop.
 func (l Load) closed() bool { return l.Concurrency > 0 }
 
-// think draws one closed-loop think time: mean 1/Rate, exponential when
-// Poisson, constant otherwise; zero when Rate is 0. Shared by the
-// virtual-clock and wall-clock drivers so both sample the same
-// distribution (rng is only consulted under Poisson).
-func (l Load) think(rng *rand.Rand) time.Duration {
-	if l.Rate <= 0 {
-		return 0
-	}
-	t := 1 / l.Rate
-	if l.Poisson {
-		t = rng.ExpFloat64() / l.Rate
-	}
-	return time.Duration(t * float64(time.Second))
-}
-
 func (l Load) validate() error {
-	if l.Concurrency < 0 {
-		return fmt.Errorf("serve: closed-loop concurrency %d", l.Concurrency)
-	}
-	if math.IsNaN(l.Rate) || math.IsInf(l.Rate, 0) {
-		return fmt.Errorf("serve: arrival rate %v", l.Rate)
-	}
-	if l.closed() {
-		if l.Rate < 0 {
-			return fmt.Errorf("serve: closed-loop think rate %v", l.Rate)
-		}
-	} else if l.Rate <= 0 {
-		return fmt.Errorf("serve: arrival rate %v", l.Rate)
-	}
-	if l.Requests < 0 {
-		return fmt.Errorf("serve: %d requests", l.Requests)
-	}
-	if l.Requests == 0 && l.Duration <= 0 {
-		return fmt.Errorf("serve: load needs Requests or Duration")
-	}
-	if err := validateMix(l.Mix, "mix"); err != nil {
-		return err
-	}
-	if err := l.Reuse.validate(); err != nil {
-		return err
-	}
-	for i, shift := range l.MixSchedule {
-		if shift.At <= 0 {
-			return fmt.Errorf("serve: mix shift %d at %v (must be after t=0)", i, shift.At)
-		}
-		if i > 0 && shift.At <= l.MixSchedule[i-1].At {
-			return fmt.Errorf("serve: mix schedule out of order at %v", shift.At)
-		}
-		if len(shift.Mix) == 0 {
-			return fmt.Errorf("serve: mix shift at %v has an empty mix", shift.At)
-		}
-		if err := validateMix(shift.Mix, fmt.Sprintf("mix shift at %v", shift.At)); err != nil {
-			return err
-		}
+	if err := l.spec().Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
-}
-
-// validateMix applies the mix rules: weights must be finite and
-// non-negative, models distinct, and at least one weight positive (a
-// mix summing to zero would silently misdraw — every arrival would
-// land on the last entry — so it is rejected instead).
-func validateMix(mix []ModelShare, what string) error {
-	seen := make(map[string]bool, len(mix))
-	total := 0.0
-	for _, ms := range mix {
-		if ms.Weight < 0 || math.IsNaN(ms.Weight) || math.IsInf(ms.Weight, 0) {
-			return fmt.Errorf("serve: %s weight %v for model %q", what, ms.Weight, ms.Model)
-		}
-		if seen[ms.Model] {
-			return fmt.Errorf("serve: model %q appears twice in the %s", ms.Model, what)
-		}
-		seen[ms.Model] = true
-		total += ms.Weight
-	}
-	if len(mix) > 0 && total <= 0 {
-		return fmt.Errorf("serve: %s weights sum to zero", what)
-	}
-	return nil
-}
-
-// models returns every model name the load can draw, across the base
-// mix and every scheduled shift, so drivers can resolve them up front.
-func (l Load) models() []string {
-	var names []string
-	seen := make(map[string]bool)
-	add := func(mix []ModelShare) {
-		for _, ms := range mix {
-			if !seen[ms.Model] {
-				seen[ms.Model] = true
-				names = append(names, ms.Model)
-			}
-		}
-	}
-	add(l.Mix)
-	for _, shift := range l.MixSchedule {
-		add(shift.Mix)
-	}
-	return names
-}
-
-// mixed reports whether the load draws models from a mix at all.
-func (l Load) mixed() bool { return len(l.Mix) > 0 || len(l.MixSchedule) > 0 }
-
-// mixEpoch is one contiguous span of the (possibly shifting) mix
-// timeline: from At until the next epoch's At, arrivals draw from mix.
-type mixEpoch struct {
-	at  time.Duration
-	mix modelMix
-}
-
-// mixEpochs materializes the mix timeline: epoch 0 is Load.Mix from
-// t = 0, each MixShift opens the next epoch.
-func (l Load) mixEpochs() []mixEpoch {
-	epochs := []mixEpoch{{at: 0, mix: newModelMix(l.Mix)}}
-	for _, shift := range l.MixSchedule {
-		epochs = append(epochs, mixEpoch{at: shift.At, mix: newModelMix(shift.Mix)})
-	}
-	return epochs
-}
-
-// mixAt returns the epoch active at time at. Closed-loop arrival times
-// are not monotone across users, so this searches rather than cursors.
-func mixAt(epochs []mixEpoch, at time.Duration) modelMix {
-	i := len(epochs) - 1
-	for i > 0 && epochs[i].at > at {
-		i--
-	}
-	return epochs[i].mix
-}
-
-// modelMix draws model names from a weighted Load.Mix via its
-// cumulative-weight table. The zero value (empty mix) always draws ""
-// (the backend's default). Shared by the open-loop/closed-loop virtual
-// generators and the wall-clock closed loop, so every driver samples
-// the same distribution for the same mix.
-type modelMix struct {
-	mix []ModelShare
-	cum []float64
-}
-
-func newModelMix(mix []ModelShare) modelMix {
-	m := modelMix{mix: mix}
-	total := 0.0
-	m.cum = make([]float64, len(mix))
-	for i, ms := range mix {
-		total += ms.Weight
-		m.cum[i] = total
-	}
-	return m
-}
-
-// draw picks a model name with the mix's weights from rng (unused when
-// the mix has fewer than two entries).
-func (m modelMix) draw(rng *rand.Rand) string {
-	switch len(m.mix) {
-	case 0:
-		return ""
-	case 1:
-		return m.mix[0].Model
-	}
-	x := rng.Float64() * m.cum[len(m.cum)-1]
-	for i, c := range m.cum {
-		if x < c {
-			return m.mix[i].Model
-		}
-	}
-	return m.mix[len(m.mix)-1].Model
-}
-
-// arrivalGen yields a deterministic, monotone sequence of arrival
-// offsets from t=0, each tagged with its mix-drawn model name (the mix
-// active at the arrival's time, per Load.MixSchedule) and its reuse key
-// (which input it asks for — Zipf-drawn under Load.Reuse, unique per
-// arrival otherwise).
-type arrivalGen struct {
-	load   Load
-	rng    *rand.Rand // interarrival draws (Poisson only)
-	mixRNG *rand.Rand // model-mix draws, independent of arrival times
-	zipf   *rand.Zipf // reuse-key draws (Load.Reuse only)
-	epochs []mixEpoch
-	count  int
-	t      float64 // seconds
-}
-
-func (l Load) arrivals() *arrivalGen {
-	g := &arrivalGen{load: l, epochs: l.mixEpochs()}
-	if l.Poisson {
-		g.rng = rand.New(rand.NewSource(l.Seed))
-	}
-	// rng draws interarrival times open-loop and think times closed-loop;
-	// non-Poisson spacing is deterministic and needs no generator.
-	if l.mixed() {
-		g.mixRNG = rand.New(rand.NewSource(l.Seed ^ 0x6d69780a)) // "mix" salt
-	}
-	if l.Reuse.Enabled() {
-		// An independent salted generator, like the mix draw, so turning
-		// reuse on does not perturb the arrival schedule or mix.
-		rng := rand.New(rand.NewSource(l.Seed ^ 0x72657573)) // "reus" salt
-		g.zipf = rand.NewZipf(rng, l.Reuse.ZipfS, 1, uint64(l.Reuse.Universe-1))
-	}
-	return g
-}
-
-// next returns the next open-loop arrival offset, its model name
-// ("" = the backend's default) and its reuse key, or false when the
-// load is exhausted.
-func (g *arrivalGen) next() (time.Duration, string, uint64, bool) {
-	g.count++
-	if g.load.Requests > 0 && g.count > g.load.Requests {
-		return 0, "", 0, false
-	}
-	if g.load.Poisson {
-		g.t += g.rng.ExpFloat64() / g.load.Rate
-	} else {
-		g.t = float64(g.count) / g.load.Rate
-	}
-	at := time.Duration(g.t * float64(time.Second))
-	if g.load.Requests == 0 && at > g.load.Duration {
-		return 0, "", 0, false
-	}
-	return at, g.model(at), g.key(), true
-}
-
-// nextClosed returns a closed-loop user's next arrival: the think time
-// after its completion at now (zero when Rate is 0), tagged with the
-// mix-drawn model and reuse key, or false when the request or duration
-// budget is spent. Draw order follows completion-event order, which the
-// virtual clock makes deterministic.
-func (g *arrivalGen) nextClosed(now time.Duration) (time.Duration, string, uint64, bool) {
-	g.count++
-	if g.load.Requests > 0 && g.count > g.load.Requests {
-		return 0, "", 0, false
-	}
-	at := now + g.load.think(g.rng)
-	if g.load.Requests == 0 && at > g.load.Duration {
-		return 0, "", 0, false
-	}
-	return at, g.model(at), g.key(), true
-}
-
-// model draws the arrival's model from the mix active at its time.
-func (g *arrivalGen) model(at time.Duration) string {
-	return mixAt(g.epochs, at).draw(g.mixRNG)
-}
-
-// key draws the arrival's reuse key: Zipf over the universe under
-// Load.Reuse, else the arrival ordinal — every input distinct, so an
-// enabled cache sees pure miss traffic, which is the honest baseline.
-func (g *arrivalGen) key() uint64 {
-	if g.zipf != nil {
-		return g.zipf.Uint64()
-	}
-	return uint64(g.count)
 }
 
 // Event kinds of the discrete-event simulator.
@@ -409,8 +130,7 @@ type event struct {
 	// completion-only fields
 	shard    int
 	arrivals []time.Duration
-	users    []int    // closed-loop users of the batch, parallel to arrivals
-	keys     []uint64 // reuse keys of the batch, parallel to arrivals; nil when the cache is off
+	items    []simItem // users and reuse keys of the batch; nil unless closed-loop or cached
 }
 
 type eventHeap []*event
@@ -426,24 +146,24 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// simModel is one registered model's queue and accounting inside a run.
-type simModel struct {
-	name  string
-	at    []time.Duration // arrival times of admitted, undispatched requests
-	users []int           // closed-loop users, parallel to at; nil open-loop
-	keys  []uint64        // reuse keys, parallel to at; nil when the cache is off
-	head  int
+// simItem is a queued request's payload: its closed-loop user and its
+// reuse key.
+type simItem struct {
+	user int
+	key  uint64
+}
 
+// simModel is one registered model's accounting inside a run.
+type simModel struct {
+	name                      string
 	offered, served, rejected int
 	batches, warm, cold       int
 	latencies                 []time.Duration
 }
 
-func (m *simModel) qlen() int { return len(m.at) - m.head }
-
-// sim is the state of one Simulate run: the same admission queue,
-// per-model micro-batching policy and warm-first group scheduling the
-// real Server applies, driven by events on a virtual clock.
+// sim is the state of one Simulate run: the node core — the same
+// admission queue, per-model micro-batching and group scheduling the
+// real Server applies — driven by events on a virtual clock.
 type sim struct {
 	backend   Backend
 	opts      Options
@@ -454,30 +174,17 @@ type sim struct {
 	seq    uint64
 	now    time.Duration
 
+	core   *node.Core[simItem]
 	models []*simModel
 	index  map[string]int
 
-	freeShard []bool
-	staged    []int // model index staged per group shard; -1 = never staged
-	freeCount int
-
-	// Residency-plan state: pin maps each group to its pinned model
-	// index (-1 = overflow, free-for-all); nil means no plan (purely
-	// reactive scheduling). pendingRestage holds controller rebalances
-	// waiting for a busy group to finish its batch.
-	pin            []int
-	pendingRestage map[int]int
-	ctrl           *plan.Controller
-	curPlan        *plan.Plan
-	restages       int
-	replans        int
-
-	lastLinger time.Duration
+	restages, replans int
+	lastLinger        time.Duration
 
 	tracer   *Tracer      // nil when tracing is off (emits are no-ops)
 	timeline *simTimeline // nil when timeline sampling is off
 
-	gen *arrivalGen
+	gen *node.Arrivals
 
 	// cache is the memoizing front-cache (nil when Options.Cache is
 	// off): arrivals probe it by reuse key before admission, hits
@@ -494,7 +201,6 @@ type sim struct {
 	lastCompletion            time.Duration
 	shardUse                  []ShardUsage
 
-	depth      int
 	maxDepth   int
 	depthInt   float64 // ∫ queue-depth dt, duration units
 	lastDepthT time.Duration
@@ -519,20 +225,19 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		return nil, fmt.Errorf("serve: closed-loop concurrency %d exceeds queue depth %d",
 			load.Concurrency, o.QueueDepth)
 	}
+	spec := load.spec()
 	registered := backend.Models()
 	s := &sim{
 		backend:    backend,
 		opts:       o,
 		groupSize:  o.GroupSize,
 		closed:     load.closed(),
-		gen:        load.arrivals(),
+		gen:        spec.Arrivals(),
 		index:      make(map[string]int, len(registered)),
-		freeShard:  make([]bool, o.Replicas),
-		staged:     make([]int, o.Replicas),
-		freeCount:  o.Replicas,
 		lastLinger: -1,
 		shardUse:   make([]ShardUsage, o.Replicas),
 	}
+	s.core = node.New[simItem](o.coreConfig(registered), s)
 	if o.Cache.Enabled() {
 		if s.cache, err = NewCache(o.Cache); err != nil {
 			return nil, err
@@ -544,55 +249,33 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 	}
 	// Resolve the mix — including every scheduled shift — against the
 	// registry up front so unknown models fail fast rather than mid-run.
-	for _, name := range load.models() {
+	for _, name := range spec.Models() {
 		if _, err := s.resolve(name); err != nil {
 			return nil, err
 		}
 	}
 	slices := backend.System().Config().Slices
-	for i := range s.freeShard {
-		s.freeShard[i] = true
-		s.staged[i] = -1
+	for i := range s.shardUse {
 		s.shardUse[i].Shard = shardFor(i, slices, s.groupSize)
 	}
 	// Observability must attach before plan adoption: the startup
 	// pre-stages below are part of the recorded run.
 	if o.Trace != nil {
-		names := make([]string, len(registered))
-		for i, m := range registered {
-			names[i] = m.Name()
-		}
 		shards := make([]Shard, o.Replicas)
 		for i := range shards {
 			shards[i] = s.shardUse[i].Shard
 		}
-		o.Trace.begin("virtual", names, shards, o.Cache.Enabled())
+		o.Trace.begin("virtual", modelNames(registered), shards, o.Cache.Enabled())
 		s.tracer = o.Trace
 	}
 	if o.TimelineInterval > 0 {
 		s.timeline = newSimTimeline(o.TimelineInterval, o.Replicas)
 	}
-	if o.Plan != nil {
-		if err := s.adoptPlan(o.Plan); err != nil {
-			return nil, err
-		}
-		// Pre-stage every pinned group: the group spends the model's
-		// reload time streaming filters before its first batch, so the
-		// traffic it then serves dispatches warm.
-		for g, mi := range s.pin {
-			if mi >= 0 {
-				if err := s.beginRestage(g, mi); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if o.Replan.Enabled() {
-			ctrl, err := plan.NewController(backend.System(), registered, o.Plan, o.Replan)
-			if err != nil {
-				return nil, err
-			}
-			s.ctrl = ctrl
-		}
+	// Pre-stage every pinned group: the group spends the model's reload
+	// time streaming filters before its first batch, so the traffic it
+	// then serves dispatches warm.
+	if err := startPlan(s.core, backend, o); err != nil {
+		return nil, err
 	}
 	if s.closed {
 		// Seed the user population: every user issues its first request
@@ -602,12 +285,8 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 				return nil, err
 			}
 		}
-	} else if at, model, key, ok := s.gen.next(); ok {
-		mi, err := s.resolve(model)
-		if err != nil {
-			return nil, err
-		}
-		s.push(&event{at: at, kind: evArrival, model: mi, user: -1, key: key})
+	} else if err := s.scheduleArrival(); err != nil {
+		return nil, err
 	}
 	for len(s.events) > 0 {
 		e := heap.Pop(&s.events).(*event)
@@ -615,17 +294,14 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		s.now = e.at
 		switch e.kind {
 		case evArrival:
-			if err := s.onArrival(e); err != nil {
-				return nil, err
-			}
+			err = s.onArrival(e)
 		case evCompletion:
-			if err := s.onCompletion(e); err != nil {
-				return nil, err
-			}
+			err = s.onCompletion(e)
 		case evRestage:
-			if err := s.freeOrRestage(e.shard); err != nil {
-				return nil, err
-			}
+			err = s.core.Release(e.shard)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if err := s.tryDispatch(); err != nil {
 			return nil, err
@@ -634,106 +310,46 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 	return s.report(backend, load)
 }
 
-// adoptPlan resolves the plan's pinned assignment against the model
-// registry and validates that every registered model stays servable.
-func (s *sim) adoptPlan(p *plan.Plan) error {
-	if err := planServable(p, s.backend.Models()); err != nil {
-		return err
-	}
-	pinned, err := resolvePinned(p, s.backend)
-	if err != nil {
-		return err
-	}
-	pin := make([]int, len(pinned))
-	for g, name := range pinned {
-		pin[g] = -1
-		if name != "" {
-			mi, err := s.resolve(name)
-			if err != nil {
-				return err
-			}
-			pin[g] = mi
-		}
-	}
-	s.pin = pin
-	s.curPlan = p
-	if s.pendingRestage == nil {
-		s.pendingRestage = make(map[int]int)
-	}
-	return nil
-}
-
-// beginRestage stages model mi's weights onto group g, holding the
-// group busy for the reload time. The group may be free (it is claimed)
-// or already marked busy by the caller.
-func (s *sim) beginRestage(g, mi int) error {
-	if s.freeShard[g] {
-		s.freeShard[g] = false
-		s.freeCount--
-	}
+// Restage implements node.Clock: the group streams model mi's weights
+// for the reload time, released by an evRestage event.
+func (s *sim) Restage(g, mi, from int) error {
 	rel, err := s.backend.ReloadTime(s.models[mi].name, s.groupSize)
 	if err != nil {
 		return err
 	}
-	from := ""
-	if prev := s.staged[g]; prev >= 0 {
-		from = s.models[prev].name
-	}
-	s.staged[g] = mi
 	s.push(&event{at: s.now + rel, kind: evRestage, shard: g})
 	u := &s.shardUse[g]
 	u.Restages++
 	u.Busy += rel
 	s.restages++
-	s.tracer.restage(g, s.models[mi].name, from, s.now, rel)
+	fromName := ""
+	if from >= 0 {
+		fromName = s.models[from].name
+	}
+	s.tracer.restage(g, s.models[mi].name, fromName, s.now, rel)
 	s.timeline.charge(g, s.now, rel)
 	return nil
 }
 
-// freeOrRestage releases a group whose batch or restage just finished —
-// unless a controller rebalance queued on it meanwhile, in which case
-// the group stays busy streaming the newly pinned model's weights.
-func (s *sim) freeOrRestage(g int) error {
-	if mi, ok := s.pendingRestage[g]; ok {
-		delete(s.pendingRestage, g)
-		if s.staged[g] != mi {
-			return s.beginRestage(g, mi)
-		}
-	}
-	s.freeShard[g] = true
-	s.freeCount++
-	return nil
+// Replanned implements node.Clock. The instant is emitted before the
+// restages the re-plan causes (the serializer keeps emission order on
+// equal timestamps).
+func (s *sim) Replanned(now time.Duration, drift float64, ops int) {
+	s.replans++
+	s.tracer.replan(now, s.replans, drift, ops)
 }
 
-// applyReplan adopts a controller re-plan: the pinned map switches
-// immediately, and each restage op stages on its group as soon as the
-// group is free (busy groups finish their batch first).
-func (s *sim) applyReplan(next *plan.Plan, ops []plan.Restage) error {
-	if err := s.adoptPlan(next); err != nil {
+// scheduleArrival pushes the next open-loop arrival, if any.
+func (s *sim) scheduleArrival() error {
+	at, model, key, ok := s.gen.Next()
+	if !ok {
+		return nil
+	}
+	mi, err := s.resolve(model)
+	if err != nil {
 		return err
 	}
-	s.replans++
-	// The new plan supersedes any restages still waiting on busy
-	// groups: a stale op would stage a model that is no longer pinned
-	// there. A group left staged-mismatched simply pays a cold
-	// dispatch on its pool's next claim.
-	clear(s.pendingRestage)
-	for _, op := range ops {
-		mi, err := s.resolve(op.To)
-		if err != nil {
-			return err
-		}
-		if s.staged[op.Group] == mi {
-			continue // already holds these weights; repinning is free
-		}
-		if s.freeShard[op.Group] {
-			if err := s.beginRestage(op.Group, mi); err != nil {
-				return err
-			}
-		} else {
-			s.pendingRestage[op.Group] = mi
-		}
-	}
+	s.push(&event{at: at, kind: evArrival, model: mi, user: -1, key: key})
 	return nil
 }
 
@@ -741,7 +357,7 @@ func (s *sim) applyReplan(next *plan.Plan, ops []plan.Restage) error {
 // think-time generator relative to `from`; exhausting the budget retires
 // the user.
 func (s *sim) scheduleUser(user int, from time.Duration) error {
-	at, model, key, ok := s.gen.nextClosed(from)
+	at, model, key, ok := s.gen.NextClosed(from)
 	if !ok {
 		return nil
 	}
@@ -776,7 +392,7 @@ func (s *sim) push(e *event) {
 // syncDepth integrates the queue depth up to the current virtual time;
 // call before every depth change.
 func (s *sim) syncDepth() {
-	s.depthInt += float64(s.depth) * float64(s.now-s.lastDepthT)
+	s.depthInt += float64(s.core.Depth()) * float64(s.now-s.lastDepthT)
 	s.lastDepthT = s.now
 }
 
@@ -803,13 +419,13 @@ func (s *sim) onArrival(e *event) error {
 			s.lastCompletion = done
 		}
 		s.tracer.cacheHit(m.name, s.now)
-		if s.ctrl != nil {
-			s.ctrl.ObserveCacheHit(m.name, s.now)
+		if ctrl := s.core.Controller(); ctrl != nil {
+			ctrl.ObserveCacheHit(m.name, s.now)
 		}
 		if s.closed {
 			return s.scheduleUser(e.user, done)
 		}
-	case s.depth >= s.opts.QueueDepth:
+	case s.core.Depth() >= s.opts.QueueDepth:
 		// Unreachable closed-loop: concurrency is validated against the
 		// queue depth, so the population can never overfill it.
 		s.rejected++
@@ -817,33 +433,17 @@ func (s *sim) onArrival(e *event) error {
 		s.tracer.reject(m.name, s.now)
 	default:
 		s.syncDepth()
-		m.at = append(m.at, s.now)
-		if s.closed {
-			m.users = append(m.users, e.user)
-		}
-		if s.cache != nil {
-			m.keys = append(m.keys, e.key)
-		}
-		s.depth++
-		if s.depth > s.maxDepth {
-			s.maxDepth = s.depth
-		}
+		s.core.Push(e.model, s.now, simItem{user: e.user, key: e.key})
+		s.maxDepth = max(s.maxDepth, s.core.Depth())
 	}
 	if s.closed {
 		return nil // the next arrival chains off this request's completion
 	}
-	if at, model, key, ok := s.gen.next(); ok {
-		mi, err := s.resolve(model)
-		if err != nil {
-			return err
-		}
-		s.push(&event{at: at, kind: evArrival, model: mi, user: -1, key: key})
-	}
-	return nil
+	return s.scheduleArrival()
 }
 
 func (s *sim) onCompletion(e *event) error {
-	if err := s.freeOrRestage(e.shard); err != nil {
+	if err := s.core.Release(e.shard); err != nil {
 		return err
 	}
 	m := s.models[e.model]
@@ -857,13 +457,15 @@ func (s *sim) onCompletion(e *event) error {
 		m.latencies = append(m.latencies, s.now-at)
 	}
 	// Misses fill the cache on completion, in batch order.
-	for _, k := range e.keys {
-		s.cache.InsertKey(m.name, k)
+	if s.cache != nil {
+		for _, it := range e.items {
+			s.cache.InsertKey(m.name, it.key)
+		}
 	}
 	if s.closed {
 		// Each finished user thinks, then submits its next request.
-		for _, u := range e.users {
-			if err := s.scheduleUser(u, s.now); err != nil {
+		for _, it := range e.items {
+			if err := s.scheduleUser(it.user, s.now); err != nil {
 				return err
 			}
 		}
@@ -871,123 +473,36 @@ func (s *sim) onCompletion(e *event) error {
 	return nil
 }
 
-// tryDispatch applies the per-model micro-batching policy: a model is
-// ready when it holds a full batch or its oldest pending request has
-// lingered MaxLinger; among ready models the oldest head dispatches
-// first, onto the warmest free replica. Under a residency plan a ready
-// model whose eligible groups (its pinned pool plus the overflow pool)
-// are all busy is skipped, so it cannot head-of-line-block the other
-// models' pinned groups. When nothing is ready, the earliest linger
-// deadline is scheduled.
+// tryDispatch dispatches every batch the core's ready pick allows now;
+// when nothing is ready it schedules the earliest linger deadline.
 func (s *sim) tryDispatch() error {
-	var ready []int // planned path only; reused across iterations
-	for s.depth > 0 && s.freeCount > 0 {
-		nextDeadline := time.Duration(-1)
-		best := -1 // reactive: min-head ready model, alloc-free
-		var bestAt time.Duration
-		ready = ready[:0]
-		for mi, m := range s.models {
-			if m.qlen() == 0 {
-				continue
+	for {
+		mi, deadline := s.core.Ready(s.now)
+		if mi < 0 {
+			if deadline >= 0 && deadline != s.lastLinger {
+				s.push(&event{at: deadline, kind: evLinger})
+				s.lastLinger = deadline
 			}
-			head := m.at[m.head]
-			if m.qlen() < s.opts.MaxBatch && s.now < head+s.opts.MaxLinger {
-				if dl := head + s.opts.MaxLinger; nextDeadline < 0 || dl < nextDeadline {
-					nextDeadline = dl
-				}
-				continue
-			}
-			if s.pin == nil {
-				if best < 0 || head < bestAt {
-					best, bestAt = mi, head
-				}
-			} else {
-				ready = append(ready, mi) // registry order: stable ties
-			}
-		}
-		scheduleLinger := func() {
-			if nextDeadline >= 0 && nextDeadline != s.lastLinger {
-				s.push(&event{at: nextDeadline, kind: evLinger})
-				s.lastLinger = nextDeadline
-			}
-		}
-		if s.pin == nil {
-			if best < 0 {
-				scheduleLinger()
-				return nil
-			}
-			shard, warm, _ := s.claimShard(best)
-			if err := s.dispatchBatch(best, shard, warm); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(ready) == 0 {
-			scheduleLinger()
 			return nil
 		}
-		sort.SliceStable(ready, func(i, j int) bool {
-			a, b := s.models[ready[i]], s.models[ready[j]]
-			return a.at[a.head] < b.at[b.head]
-		})
-		dispatched := false
-		for _, mi := range ready {
-			shard, warm, ok := s.claimShard(mi)
-			if !ok {
-				continue
-			}
-			if err := s.dispatchBatch(mi, shard, warm); err != nil {
-				return err
-			}
-			dispatched = true
-			break
-		}
-		if !dispatched {
-			// Free groups exist but every ready model's eligible pools
-			// are busy; a completion or restage will retry the ready
-			// ones — the lingering models still need their deadline.
-			scheduleLinger()
-			return nil
+		if err := s.dispatchBatch(mi); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
-// dispatchBatch pops one batch of model mi onto the claimed shard and
-// schedules its completion, feeding the drift controller when one is
-// attached.
-func (s *sim) dispatchBatch(mi, shard int, warmHit bool) error {
+// dispatchBatch pops one batch of model mi onto the group the core
+// claims, schedules its completion and runs the controller step.
+func (s *sim) dispatchBatch(mi int) error {
 	m := s.models[mi]
-	n := min(m.qlen(), s.opts.MaxBatch)
-	batch := append([]time.Duration(nil), m.at[m.head:m.head+n]...)
-	var users []int
-	if s.closed {
-		users = append([]int(nil), m.users[m.head:m.head+n]...)
-	}
-	var keys []uint64
-	if s.cache != nil {
-		keys = append([]uint64(nil), m.keys[m.head:m.head+n]...)
-	}
 	s.syncDepth()
-	m.head += n
-	s.depth -= n
-	if m.head == len(m.at) {
-		m.at, m.head = m.at[:0], 0
-		if s.closed {
-			m.users = m.users[:0]
-		}
-		if s.cache != nil {
-			m.keys = m.keys[:0]
-		}
-	} else if m.head > 4096 && m.head > len(m.at)/2 {
-		m.at = append(m.at[:0], m.at[m.head:]...)
-		if s.closed {
-			m.users = append(m.users[:0], m.users[m.head:]...)
-		}
-		if s.cache != nil {
-			m.keys = append(m.keys[:0], m.keys[m.head:]...)
-		}
-		m.head = 0
+	at, items := s.core.Pop(mi)
+	shard, warmHit := s.core.Claim(mi)
+	n := len(at)
+	batch := append([]time.Duration(nil), at...)
+	var payload []simItem
+	if s.closed || s.cache != nil {
+		payload = append([]simItem(nil), items...)
 	}
 	st, err := s.backend.ServiceTime(m.name, n, s.groupSize)
 	if err != nil {
@@ -1000,7 +515,7 @@ func (s *sim) dispatchBatch(mi, shard int, warmHit bool) error {
 		}
 	}
 	occupancy := st + rel
-	s.push(&event{at: s.now + occupancy, kind: evCompletion, shard: shard, model: mi, arrivals: batch, users: users, keys: keys})
+	s.push(&event{at: s.now + occupancy, kind: evCompletion, shard: shard, model: mi, arrivals: batch, items: payload})
 	s.batches++
 	s.batched += n
 	m.batches++
@@ -1025,50 +540,7 @@ func (s *sim) dispatchBatch(mi, shard int, warmHit bool) error {
 		s.tracer.batch(shard, m.name, n, !warmHit, s.batches, s.now, st, rel)
 	}
 	s.timeline.charge(shard, s.now, occupancy)
-	if s.ctrl != nil {
-		s.ctrl.Observe(m.name, n, s.now)
-		// Drift must be read before MaybeReplan: an applied re-plan
-		// rebases the controller's reference mix, zeroing it.
-		var drift float64
-		if s.tracer != nil {
-			drift = s.ctrl.Drift()
-		}
-		if next, ops, ok := s.ctrl.MaybeReplan(s.now); ok {
-			// Emit before applying so the instant precedes the restage
-			// spans it causes (the serializer keeps emission order on
-			// equal timestamps).
-			s.tracer.replan(s.now, s.replans+1, drift, len(ops))
-			if err := s.applyReplan(next, ops); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// claimShard claims the best free replica group for the model: the
-// shared warm-first policy (pickShard) without a plan, the plan-aware
-// policy (pickPlanned) with one. ok is false when no eligible group is
-// free — only possible under a plan, whose pinned groups a foreign
-// model may not claim.
-func (s *sim) claimShard(model int) (id int, warm, ok bool) {
-	if s.pin == nil {
-		id, warm = pickShard(s.freeShard, s.staged, model, -1)
-		if id < 0 {
-			panic("serve: claimShard with no free shard")
-		}
-	} else {
-		id, warm = pickPlanned(s.freeShard, s.staged, s.pin, model, -1, -1)
-		if id < 0 {
-			return -1, false, false
-		}
-	}
-	s.freeShard[id] = false
-	s.freeCount--
-	if !warm {
-		s.staged[id] = model
-	}
-	return id, warm, true
+	return s.core.Step(mi, n, s.now)
 }
 
 func (s *sim) report(backend Backend, load Load) (*LoadReport, error) {
@@ -1092,7 +564,7 @@ func (s *sim) report(backend Backend, load Load) (*LoadReport, error) {
 		MaxQueueDepth: s.maxDepth,
 		PerShard:      s.shardUse,
 
-		Plan:     s.curPlan,
+		Plan:     s.core.Plan(),
 		Restages: s.restages,
 		Replans:  s.replans,
 	}

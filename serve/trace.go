@@ -283,7 +283,7 @@ func (tl *simTimeline) finish(end time.Duration, s *sim) *obs.Timeline {
 func (tl *simTimeline) sample(at, width time.Duration, s *sim) {
 	p := obs.TimelinePoint{
 		T:              at,
-		QueueDepth:     s.depth,
+		QueueDepth:     s.core.Depth(),
 		Offered:        s.offered - tl.offered,
 		Served:         s.served - tl.served,
 		Rejected:       s.rejected - tl.rejected,
@@ -305,8 +305,8 @@ func (tl *simTimeline) sample(at, width time.Duration, s *sim) {
 		p.GroupUtil[g] = float64(realized-tl.realized[g]) / float64(width)
 		tl.realized[g] = realized
 	}
-	if s.ctrl != nil {
-		p.MixDrift = s.ctrl.Drift()
+	if ctrl := s.core.Controller(); ctrl != nil {
+		p.MixDrift = ctrl.Drift()
 	}
 	tl.offered, tl.served, tl.rejected = s.offered, s.served, s.rejected
 	tl.warm, tl.cold = s.warm, s.cold
