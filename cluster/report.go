@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -117,27 +117,6 @@ type Report struct {
 	Timeline *obs.Timeline `json:"timeline,omitempty"`
 }
 
-// percentile returns the nearest-rank p-th percentile of sorted
-// latencies (serve's definition, so node and fleet quantiles compare
-// like-for-like).
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-func sortDurations(d []time.Duration) {
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-}
-
 // nodeCapacity is the node's Estimate-derived throughput bound,
 // weighted by what it actually served (the launch mix when it served
 // nothing).
@@ -229,9 +208,9 @@ func (s *sim) report() (*Report, error) {
 		if makespan > 0 {
 			nr.Utilization = n.busy.Seconds() / (makespan.Seconds() * float64(n.groups))
 		}
-		sortDurations(n.latencies)
-		nr.P50 = percentile(n.latencies, 50)
-		nr.P99 = percentile(n.latencies, 99)
+		slices.Sort(n.latencies)
+		nr.P50 = report.Percentile(n.latencies, 0.50)
+		nr.P99 = report.Percentile(n.latencies, 0.99)
 		r.Nodes = append(r.Nodes, nr)
 		r.Batches += n.batches
 		r.WarmDispatches += n.warm
@@ -252,10 +231,10 @@ func (s *sim) report() (*Report, error) {
 	if makespan > 0 {
 		r.ThroughputPerSec = float64(s.served) / makespan.Seconds()
 	}
-	sortDurations(s.latencies)
-	r.P50 = percentile(s.latencies, 50)
-	r.P90 = percentile(s.latencies, 90)
-	r.P99 = percentile(s.latencies, 99)
+	slices.Sort(s.latencies)
+	r.P50 = report.Percentile(s.latencies, 0.50)
+	r.P90 = report.Percentile(s.latencies, 0.90)
+	r.P99 = report.Percentile(s.latencies, 0.99)
 	if len(s.latencies) > 0 {
 		r.Max = s.latencies[len(s.latencies)-1]
 	}
@@ -277,9 +256,9 @@ func (s *sim) report() (*Report, error) {
 				mu.NodesServed++
 			}
 		}
-		sortDurations(st.latencies)
-		mu.P50 = percentile(st.latencies, 50)
-		mu.P99 = percentile(st.latencies, 99)
+		slices.Sort(st.latencies)
+		mu.P50 = report.Percentile(st.latencies, 0.50)
+		mu.P99 = report.Percentile(st.latencies, 0.99)
 		r.PerModel = append(r.PerModel, mu)
 	}
 	if s.timeline != nil {

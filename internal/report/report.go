@@ -5,7 +5,9 @@ package report
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"time"
 )
 
 // Table is an aligned pipe table.
@@ -136,4 +138,14 @@ func (t *Table) CSV() string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// Percentile returns the nearest-rank q-th quantile (0 < q ≤ 1) of an
+// ascending sample set: the sample at rank ⌈q·n⌉, 0 when empty.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[max(0, min(idx, len(sorted)-1))]
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -152,10 +151,10 @@ func (r *LoadReport) finish(backend Backend, latencies []time.Duration, perModel
 	sorted := append([]time.Duration(nil), latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	if len(sorted) > 0 {
-		r.P50 = percentile(sorted, 0.50)
-		r.P90 = percentile(sorted, 0.90)
-		r.P95 = percentile(sorted, 0.95)
-		r.P99 = percentile(sorted, 0.99)
+		r.P50 = report.Percentile(sorted, 0.50)
+		r.P90 = report.Percentile(sorted, 0.90)
+		r.P95 = report.Percentile(sorted, 0.95)
+		r.P99 = report.Percentile(sorted, 0.99)
 		r.Max = sorted[len(sorted)-1]
 	}
 	r.Histogram = histogram(sorted)
@@ -164,9 +163,9 @@ func (r *LoadReport) finish(backend Backend, latencies []time.Duration, perModel
 		lat := append([]time.Duration(nil), perModel[mu.Model]...)
 		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
 		if len(lat) > 0 {
-			mu.P50 = percentile(lat, 0.50)
-			mu.P95 = percentile(lat, 0.95)
-			mu.P99 = percentile(lat, 0.99)
+			mu.P50 = report.Percentile(lat, 0.50)
+			mu.P95 = report.Percentile(lat, 0.95)
+			mu.P99 = report.Percentile(lat, 0.99)
 			mu.Max = lat[len(lat)-1]
 		}
 		if window > 0 {
@@ -227,22 +226,6 @@ func (r *LoadReport) capacity(backend Backend) error {
 		r.CapacityPerSec = float64(r.Replicas*r.MaxBatch) / meanSec
 	}
 	return nil
-}
-
-// percentile returns the nearest-rank q-th percentile of an ascending
-// sample set.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // HistBucket is one power-of-two latency bucket: [Lo, Hi).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"neuralcache/internal/report"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestPercentileEdgeCases(t *testing.T) {
 		{"q>1 clamps to max", ten, 1.5, 10 * time.Millisecond},
 	}
 	for _, tc := range cases {
-		if got := percentile(tc.sorted, tc.q); got != tc.want {
+		if got := report.Percentile(tc.sorted, tc.q); got != tc.want {
 			t.Errorf("%s: percentile(q=%v) = %v, want %v", tc.name, tc.q, got, tc.want)
 		}
 	}

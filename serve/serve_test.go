@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"neuralcache/internal/report"
 	"reflect"
 	"testing"
 	"time"
@@ -418,13 +419,13 @@ func TestPercentileAndHistogram(t *testing.T) {
 	for i := range samples {
 		samples[i] = time.Duration(i+1) * time.Millisecond
 	}
-	if got := percentile(samples, 0.50); got != 50*time.Millisecond {
+	if got := report.Percentile(samples, 0.50); got != 50*time.Millisecond {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := percentile(samples, 0.99); got != 99*time.Millisecond {
+	if got := report.Percentile(samples, 0.99); got != 99*time.Millisecond {
 		t.Fatalf("p99 = %v", got)
 	}
-	if got := percentile(samples, 1.0); got != 100*time.Millisecond {
+	if got := report.Percentile(samples, 1.0); got != 100*time.Millisecond {
 		t.Fatalf("p100 = %v", got)
 	}
 	h := histogram([]time.Duration{500 * time.Nanosecond, 3 * time.Microsecond, 3500 * time.Nanosecond})
