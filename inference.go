@@ -2,6 +2,7 @@ package neuralcache
 
 import (
 	"fmt"
+	"math"
 
 	"neuralcache/internal/core"
 	"neuralcache/internal/sram"
@@ -67,7 +68,7 @@ func (r *InferenceResult) SliceDensity() float64 {
 // Run is safe for concurrent use: each call simulates its own cache, and
 // the System itself is immutable.
 func (s *System) Run(m *Model, in *Tensor) (*InferenceResult, error) {
-	if err := checkInputShape(m, in); err != nil {
+	if err := checkRun(m, in); err != nil {
 		return nil, err
 	}
 	res, err := s.core.RunFunctional(m.net, in.internal())
@@ -77,12 +78,36 @@ func (s *System) Run(m *Model, in *Tensor) (*InferenceResult, error) {
 	return newInferenceResult(res), nil
 }
 
-// checkInputShape rejects inputs that do not match the model.
-func checkInputShape(m *Model, in *Tensor) error {
+// CheckInput reports why in cannot be the model's input: a nil tensor,
+// a shape other than the model's, Data whose length is not H·W·C, or a
+// Scale that is not finite and positive. Run and RunWithFaults apply
+// it, and a serving tier can apply it at admission.
+func (m *Model) CheckInput(in *Tensor) error {
+	if in == nil {
+		return fmt.Errorf("neuralcache: nil input for model %s", m.Name())
+	}
 	h, w, c := m.InputShape()
 	if in.H != h || in.W != w || in.C != c {
 		return fmt.Errorf("neuralcache: input %dx%dx%d, model %s expects %dx%dx%d",
 			in.H, in.W, in.C, m.Name(), h, w, c)
+	}
+	if len(in.Data) != h*w*c {
+		return fmt.Errorf("neuralcache: input holds %d bytes, %dx%dx%d needs %d", len(in.Data), h, w, c, h*w*c)
+	}
+	if !(in.Scale > 0) || math.IsInf(in.Scale, 1) {
+		return fmt.Errorf("neuralcache: input scale %v (must be finite and positive)", in.Scale)
+	}
+	return nil
+}
+
+// checkRun rejects a run whose input fails CheckInput or whose model
+// has no weights.
+func checkRun(m *Model, in *Tensor) error {
+	if err := m.CheckInput(in); err != nil {
+		return err
+	}
+	if !m.net.HasWeights() {
+		return fmt.Errorf("neuralcache: model %s has no weights (call InitWeights)", m.Name())
 	}
 	return nil
 }
@@ -141,7 +166,7 @@ type Fault struct {
 // injected before any data lands, for blast-radius studies: compare
 // against Run on the same input to see which outputs a defect corrupts.
 func (s *System) RunWithFaults(m *Model, in *Tensor, faults []Fault) (*InferenceResult, error) {
-	if err := checkInputShape(m, in); err != nil {
+	if err := checkRun(m, in); err != nil {
 		return nil, err
 	}
 	inject := func(ordinal int, a *sram.Array) {

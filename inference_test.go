@@ -2,6 +2,7 @@ package neuralcache
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,7 +45,7 @@ func TestRunWithNilFaultsEqualsRun(t *testing.T) {
 }
 
 // TestRunInputShapeValidation: both entry points reject mis-shaped
-// inputs with the same error text (the shared checkInputShape helper).
+// inputs with the same error text (the shared Model.CheckInput).
 func TestRunInputShapeValidation(t *testing.T) {
 	sys, err := New(DefaultConfig())
 	if err != nil {
@@ -60,6 +61,54 @@ func TestRunInputShapeValidation(t *testing.T) {
 	}
 	if errRun.Error() != errFaulty.Error() {
 		t.Fatalf("divergent shape errors: %q vs %q", errRun, errFaulty)
+	}
+}
+
+// TestRunRejectsPoisonInputs: every malformed input and a model without
+// weights return an error from both entry points — no panic, and no
+// result with a nil error.
+func TestRunRejectsPoisonInputs(t *testing.T) {
+	sys, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := SmallCNN()
+	m.InitWeights(1)
+	h, w, c := m.InputShape()
+	good := func(mut func(*Tensor)) *Tensor {
+		in := NewTensor(h, w, c, 1.0/255)
+		mut(in)
+		return in
+	}
+	cases := []struct {
+		name  string
+		model *Model
+		in    *Tensor
+	}{
+		{"nil tensor", m, nil},
+		{"wrong shape", m, NewTensor(h, w+1, c, 1.0/255)},
+		{"short data", m, good(func(t *Tensor) { t.Data = t.Data[:len(t.Data)-1] })},
+		{"long data", m, good(func(t *Tensor) { t.Data = append(t.Data, 0) })},
+		{"zero scale", m, good(func(t *Tensor) { t.Scale = 0 })},
+		{"negative scale", m, good(func(t *Tensor) { t.Scale = -1 })},
+		{"NaN scale", m, good(func(t *Tensor) { t.Scale = math.NaN() })},
+		{"infinite scale", m, good(func(t *Tensor) { t.Scale = math.Inf(1) })},
+		{"no weights", SmallCNN(), good(func(*Tensor) {})},
+	}
+	for _, tc := range cases {
+		if res, err := sys.Run(tc.model, tc.in); err == nil {
+			t.Errorf("%s: Run returned %v with a nil error", tc.name, res != nil)
+		}
+		if res, err := sys.RunWithFaults(tc.model, tc.in, nil); err == nil {
+			t.Errorf("%s: RunWithFaults returned %v with a nil error", tc.name, res != nil)
+		}
+	}
+	for _, build := range []func() *Model{SmallCNN, SmallResNet, BranchyCNN, WideCNN, BNNet} {
+		bare := build()
+		h, w, c := bare.InputShape()
+		if _, err := sys.Run(bare, NewTensor(h, w, c, 1.0/255)); err == nil {
+			t.Errorf("%s without weights ran", bare.Name())
+		}
 	}
 }
 

@@ -44,6 +44,17 @@ func (p Placed) Pooling() *Pool {
 	return l
 }
 
+// HasWeights reports whether every convolution has its filter, as
+// InitWeights leaves it.
+func (n *Network) HasWeights() bool {
+	for _, p := range n.Flatten() {
+		if c := p.Conv(); c != nil && c.Filter == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Flatten resolves every leaf layer's shapes, descending into Concat
 // branches (which all read the Concat's input).
 func (n *Network) Flatten() []Placed {

@@ -349,9 +349,10 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 		if s.backend.RequiresInput() {
 			return nil, fmt.Errorf("serve: %s backend requires an input tensor", s.backend.Name())
 		}
-	} else if h, w, c := m.InputShape(); in.H != h || in.W != w || in.C != c {
-		return nil, fmt.Errorf("serve: input %dx%dx%d, model %s expects %dx%dx%d",
-			in.H, in.W, in.C, name, h, w, c)
+	} else if err := m.CheckInput(in); err != nil {
+		// Rejected at admission, a malformed input can never fail the
+		// batchmates it would have ridden with.
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	// Register as an in-flight submitter under the read lock, then drop
 	// the lock before the (possibly waiting) admission: Close must not
