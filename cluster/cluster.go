@@ -24,11 +24,11 @@
 //     shifts (Load.MixSchedule) and correlated node loss
 //     (Options.Events) replay deterministically in seconds, and the
 //     serialized Report is byte-identical across runs and
-//     functional-engine worker counts. Each simulated node runs the
-//     exact single-node admission/batching/scheduling policy
-//     (serve.PickWarmFirst / serve.PickPlannedGroup), with its own
-//     plan.Controller re-planning for the traffic the router actually
-//     sends it; a cluster-level mix observer tracks the offered mix so
+//     functional-engine worker counts. Each simulated node drives the
+//     single-node scheduling core serve.Simulate and serve.Server run
+//     (package internal/node: admission queues, batching, warm-first
+//     and plan-aware group claims), with its own plan.Controller
+//     re-planning for the traffic the router actually sends it; a cluster-level mix observer tracks the offered mix so
 //     joining nodes warm up against current traffic, not the launch
 //     mix.
 //   - New builds the wall-clock front door over real serve.Servers

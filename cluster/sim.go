@@ -263,7 +263,7 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 				return nil, err
 			}
 		}
-		if err := s.tryDispatchAll(); err != nil {
+		if err := s.dispatchAll(); err != nil {
 			return nil, err
 		}
 	}
@@ -504,23 +504,23 @@ func (s *sim) onLifecycle(e *event) error {
 	return nil
 }
 
-// tryDispatchAll applies each non-down node's micro-batching policy;
+// dispatchAll applies each non-down node's micro-batching policy;
 // draining nodes keep dispatching their queued work.
-func (s *sim) tryDispatchAll() error {
+func (s *sim) dispatchAll() error {
 	for _, n := range s.nodes {
 		if n.state == stateDown {
 			continue
 		}
-		if err := s.tryDispatch(n); err != nil {
+		if err := s.dispatchReady(n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// tryDispatch dispatches every batch the node core's ready pick allows
+// dispatchReady dispatches every batch the node core's ready pick allows
 // now; when nothing is ready it schedules the earliest linger deadline.
-func (s *sim) tryDispatch(n *simNode) error {
+func (s *sim) dispatchReady(n *simNode) error {
 	for {
 		mi, deadline := n.core.Ready(s.now)
 		if mi < 0 {

@@ -79,16 +79,22 @@
 //     estimate on cold dispatches. Both are memoized per (model, batch,
 //     group size).
 //
-// Two drivers consume a Backend:
+// Two drivers consume a Backend, and both run one scheduling core
+// (package internal/node, shared with cluster.Simulate's nodes): the
+// per-model queues and ready pick, the warm-first and plan-aware group
+// claims, restages and the drift controller step. The core decides;
+// each driver only keeps time, so the two agree on policy by
+// construction.
 //
 //   - NewServer is the asynchronous goroutine server: Submit/TrySubmit,
-//     real wall-clock time, context cancellation, Close-and-drain.
+//     real wall-clock time, context cancellation, Close-and-drain. It
+//     drives the core under a mutex.
 //   - Simulate is a deterministic discrete-event simulator on a virtual
-//     clock: it pushes hundreds of thousands of simulated requests
-//     through the same admission/batching/scheduling policy in a few
-//     real seconds and reports p50/p95/p99 latency, throughput, queue
-//     depth and per-group utilization. Same seed, same Load, same
-//     Options ⇒ identical LoadReport, every run.
+//     clock: it drives the core on an event heap, pushing hundreds of
+//     thousands of simulated requests through in a few real seconds,
+//     and reports p50/p95/p99 latency, throughput, queue depth and
+//     per-group utilization. Same seed, same Load, same Options ⇒
+//     identical LoadReport, every run.
 //
 // LoadTest drives a running Server with the same arrival process
 // Simulate uses, so wall-clock and virtual-clock results are directly

@@ -86,6 +86,9 @@ type Server struct {
 	core       *node.Core[*request]
 	names      []string
 	index      map[string]int
+	// ctrl is the core's drift controller (nil unless planned with
+	// Options.Replan), fixed once NewServer returns.
+	ctrl *plan.Controller
 
 	// cache is the memoizing front-cache (nil when Options.Cache is
 	// off): submissions with an input tensor probe it before admission,
@@ -197,6 +200,7 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	// core lock.
 	s.coreMu.Lock()
 	err = startPlan(s.core, backend, o)
+	s.ctrl = s.core.Controller()
 	s.coreMu.Unlock()
 	if err != nil {
 		return nil, err
@@ -295,11 +299,7 @@ func (s *Server) BusyGroups() int {
 // Controller returns the drift controller of a planned server with
 // Options.Replan enabled, nil otherwise. Its read-only methods
 // (Drift, Observed) feed debug endpoints and timeline samplers.
-func (s *Server) Controller() *plan.Controller {
-	s.coreMu.Lock()
-	defer s.coreMu.Unlock()
-	return s.core.Controller()
-}
+func (s *Server) Controller() *plan.Controller { return s.ctrl }
 
 // Submit admits one request for the backend's default model and blocks
 // until it is served or ctx is done. When the admission queue is full,
@@ -390,8 +390,8 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 			mc.CacheHits++
 			s.stats.Unlock()
 			s.tracer.cacheHit(name, time.Since(s.started))
-			if ctrl := s.Controller(); ctrl != nil {
-				ctrl.ObserveCacheHit(name, time.Since(s.started))
+			if s.ctrl != nil {
+				s.ctrl.ObserveCacheHit(name, time.Since(s.started))
 			}
 			ch := make(chan *Response, 1)
 			ch <- resp

@@ -303,7 +303,7 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.tryDispatch(); err != nil {
+		if err := s.dispatchReady(); err != nil {
 			return nil, err
 		}
 	}
@@ -473,9 +473,9 @@ func (s *sim) onCompletion(e *event) error {
 	return nil
 }
 
-// tryDispatch dispatches every batch the core's ready pick allows now;
+// dispatchReady dispatches every batch the core's ready pick allows now;
 // when nothing is ready it schedules the earliest linger deadline.
-func (s *sim) tryDispatch() error {
+func (s *sim) dispatchReady() error {
 	for {
 		mi, deadline := s.core.Ready(s.now)
 		if mi < 0 {
