@@ -183,7 +183,9 @@ func (c *Core[T]) Ready(now time.Duration) (mi int, deadline time.Duration) {
 
 // Pop removes model mi's next batch — its up to MaxBatch oldest
 // requests — and returns their admission times and payloads. Both
-// slices alias the queue and stay valid until the next Push.
+// slices alias the queue and stay valid until the next Push; a driver
+// whose payloads hold pointers clears the items once it has copied
+// them, so the queue keeps nothing alive.
 func (c *Core[T]) Pop(mi int) ([]time.Duration, []T) {
 	q := &c.queues[mi]
 	n := min(len(q.at)-q.head, c.cfg.MaxBatch)

@@ -7,50 +7,30 @@ import (
 	"time"
 )
 
-// Share is one model's weight in a generated traffic mix (serve's
-// ModelShare).
+// Share is one model's relative weight in a traffic mix ("" = the
+// default model); serve.ModelShare is this type and documents the rules.
 type Share struct {
-	// Model names a registered model; "" means the default model.
-	Model string `json:"model"`
-	// Weight is the model's relative share of arrivals, normalized over
-	// the mix's weight sum — weights need not sum to 1, so {7, 3} and
-	// {0.7, 0.3} draw identically. A zero weight is allowed (the model
-	// gets no generated traffic); negative, NaN and infinite weights,
-	// and mixes whose weights sum to zero, are rejected by validation.
+	Model  string  `json:"model"`
 	Weight float64 `json:"weight"`
 }
 
-// MixShift is one scheduled traffic-mix change (serve's MixShift): from
-// At onward, arrivals draw their model from Mix instead of the previous
-// mix.
+// MixShift replaces the traffic mix from At onward (serve.MixShift).
 type MixShift struct {
-	// At is the load-relative time the shift takes effect (t = 0 is the
-	// start of the arrival process).
-	At time.Duration `json:"at_ns"`
-	// Mix is the new traffic mix; the same validation and normalization
-	// rules as the base mix apply, and it must be non-empty.
-	Mix []Share `json:"mix"`
+	At  time.Duration `json:"at_ns"`
+	Mix []Share       `json:"mix"`
 }
 
-// RateShift is one scheduled arrival-rate change (cluster's RateShift):
-// from At onward the process offers Rate requests per second.
+// RateShift replaces the arrival rate from At onward
+// (cluster.RateShift).
 type RateShift struct {
 	At   time.Duration `json:"at_ns"`
 	Rate float64       `json:"rate_per_sec"`
 }
 
-// Reuse describes the input-repetition distribution of a generated load
-// (serve's Reuse): arrivals ask for input k with the Zipf(s) probability
-// over a universe of Universe distinct inputs (k = 0 is the most
-// popular). Both fields must be set together: Universe must be positive
-// and ZipfS must exceed 1 (the math/rand Zipf sampler's domain); NaN,
-// infinite and negative skews are rejected.
+// Reuse draws each arrival's input key Zipf(ZipfS) over Universe
+// distinct inputs (serve.Reuse).
 type Reuse struct {
-	// ZipfS is the Zipf skew s > 1. Production traces are commonly fit
-	// near s ≈ 1.1; larger s concentrates more mass on the head.
-	ZipfS float64
-	// Universe is the number of distinct inputs N; keys are drawn in
-	// [0, N).
+	ZipfS    float64
 	Universe int
 }
 
@@ -86,9 +66,6 @@ type Load struct {
 	Reuse       Reuse
 }
 
-// Closed reports whether the load is closed-loop.
-func (l Load) Closed() bool { return l.Concurrency > 0 }
-
 // Validate applies the load rules every driver shares. Errors carry no
 // package prefix; drivers add theirs.
 func (l Load) Validate() error {
@@ -98,7 +75,7 @@ func (l Load) Validate() error {
 	if math.IsNaN(l.Rate) || math.IsInf(l.Rate, 0) {
 		return fmt.Errorf("arrival rate %v", l.Rate)
 	}
-	if l.Closed() {
+	if l.Concurrency > 0 {
 		if l.Rate < 0 {
 			return fmt.Errorf("closed-loop think rate %v", l.Rate)
 		}

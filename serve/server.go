@@ -617,6 +617,7 @@ func (s *Server) dispatch(mi int, now time.Duration) {
 		}
 		live = append(live, r)
 	}
+	clear(batch) // the core's queue must not keep served requests alive
 	if len(live) == 0 {
 		return
 	}
