@@ -202,7 +202,6 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		n.core = node.New[struct{}](node.Config{
 			Models: s.names, Groups: spec.Replicas,
 			MaxBatch: spec.MaxBatch, MaxLinger: spec.MaxLinger,
-			Drift: o.Trace != nil,
 		}, n)
 		s.nodes = append(s.nodes, n)
 	}

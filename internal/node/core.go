@@ -30,8 +30,8 @@ type Clock interface {
 	// on its clock and calls Core.Release(g) once it has elapsed.
 	Restage(g, mi, from int) error
 	// Replanned reports a controller re-plan at now, before any restage
-	// it causes starts: drift is the mix distance that triggered it (0
-	// unless Config.Drift), ops its restage count.
+	// it causes starts: drift is the mix distance that triggered it, ops
+	// its restage count.
 	Replanned(now time.Duration, drift float64, ops int)
 }
 
@@ -46,9 +46,6 @@ type Config struct {
 	// oldest request waits for a fuller one (0 dispatches at once).
 	MaxBatch  int
 	MaxLinger time.Duration
-	// Drift makes the controller step read the mix drift before each
-	// re-plan check, for drivers that trace it.
-	Drift bool
 }
 
 // Core is one node's scheduling state: per-model FIFO queues of
@@ -347,10 +344,7 @@ func (c *Core[T]) Step(mi, n int, now time.Duration) error {
 	c.ctrl.Observe(c.cfg.Models[mi], n, now)
 	// Drift must be read before MaybeReplan: an applied re-plan rebases
 	// the controller's reference mix, zeroing it.
-	var drift float64
-	if c.cfg.Drift {
-		drift = c.ctrl.Drift()
-	}
+	drift := c.ctrl.Drift()
 	next, ops, ok := c.ctrl.MaybeReplan(now)
 	if !ok {
 		return nil

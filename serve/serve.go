@@ -384,7 +384,6 @@ func (o Options) coreConfig(models []*neuralcache.Model) node.Config {
 		Groups:    o.Replicas,
 		MaxBatch:  o.MaxBatch,
 		MaxLinger: o.MaxLinger,
-		Drift:     o.Trace != nil,
 	}
 }
 
