@@ -28,9 +28,9 @@
 //     single-node scheduling core serve.Simulate and serve.Server run
 //     (package internal/node: admission queues, batching, warm-first
 //     and plan-aware group claims), with its own plan.Controller
-//     re-planning for the traffic the router actually sends it; a cluster-level mix observer tracks the offered mix so
-//     joining nodes warm up against current traffic, not the launch
-//     mix.
+//     re-planning for the traffic the router actually sends it; a
+//     cluster-level mix observer tracks the offered mix so joining
+//     nodes warm up against current traffic, not the launch mix.
 //   - New builds the wall-clock front door over real serve.Servers
 //     (cluster.Cluster): SubmitModel routes live requests, Drain/Join
 //     rotate nodes out and in.
