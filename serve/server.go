@@ -483,39 +483,28 @@ func (s *Server) batcher() {
 	defer close(s.batcherDone)
 	deadline := time.Duration(-1)
 	for {
-		s.coreMu.Lock()
-		idle := s.core.Depth() == 0
-		s.coreMu.Unlock()
-		if idle {
-			r, ok := <-s.queue
-			if !ok {
-				return
-			}
+		var timer *time.Timer
+		var timerC <-chan time.Time
+		if deadline >= 0 {
+			timer = time.NewTimer(time.Until(s.started.Add(deadline)))
+			timerC = timer.C
+		}
+		var r *request
+		ok := true
+		select {
+		case r, ok = <-s.queue:
+		case <-timerC:
+		case <-s.freed:
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		if !ok {
+			s.flush()
+			return
+		}
+		if r != nil {
 			s.push(r)
-		} else {
-			var timer *time.Timer
-			var timerC <-chan time.Time
-			if deadline >= 0 {
-				timer = time.NewTimer(time.Until(s.started.Add(deadline)))
-				timerC = timer.C
-			}
-			var r *request
-			ok := true
-			select {
-			case r, ok = <-s.queue:
-			case <-timerC:
-			case <-s.freed:
-			}
-			if timer != nil {
-				timer.Stop()
-			}
-			if !ok {
-				s.flush()
-				return
-			}
-			if r != nil {
-				s.push(r)
-			}
 		}
 		if !s.drain() {
 			s.flush()
