@@ -66,16 +66,3 @@ func (l Load) validate() error {
 // models returns every model name the load can draw, in first-seen
 // order across the base mix and every scheduled shift.
 func (l Load) models() []string { return l.spec().Models() }
-
-// arrivals is the shared open-loop generator; the fleet draws no reuse
-// keys.
-type arrivals struct{ gen *node.Arrivals }
-
-func (l Load) arrivals() arrivals { return arrivals{l.spec().Arrivals()} }
-
-// next returns the next arrival's offset and model ("" = the default
-// model), or false when the load is exhausted.
-func (a arrivals) next() (time.Duration, string, bool) {
-	at, model, _, ok := a.gen.Next()
-	return at, model, ok
-}

@@ -14,10 +14,10 @@ func TestArrivalGenUniformRateSchedule(t *testing.T) {
 	g := Load{
 		Rate: 1000, Requests: 15,
 		RateSchedule: []RateShift{{At: 10 * time.Millisecond, Rate: 2000}},
-	}.arrivals()
+	}.spec().Arrivals()
 	var got []time.Duration
 	for {
-		at, _, ok := g.next()
+		at, _, _, ok := g.Next()
 		if !ok {
 			break
 		}
@@ -47,12 +47,12 @@ func TestArrivalGenPoissonPiecewise(t *testing.T) {
 		Rate: 1000, Requests: 4000, Seed: 99, Poisson: true,
 		RateSchedule: []RateShift{{At: 2 * time.Second, Rate: 2000}},
 	}
-	a, b := load.arrivals(), load.arrivals()
+	a, b := load.spec().Arrivals(), load.spec().Arrivals()
 	var before, after int
 	prev := time.Duration(-1)
 	for {
-		at, _, ok := a.next()
-		bt, _, bok := b.next()
+		at, _, _, ok := a.Next()
+		bt, _, _, bok := b.Next()
 		if ok != bok || at != bt {
 			t.Fatal("same seed diverged")
 		}
@@ -88,10 +88,10 @@ func TestArrivalGenMixSchedule(t *testing.T) {
 	mixed.MixSchedule = []serve.MixShift{
 		{At: 15 * time.Millisecond, Mix: []serve.ModelShare{{Model: "b", Weight: 1}}},
 	}
-	g, gm := base.arrivals(), mixed.arrivals()
+	g, gm := base.spec().Arrivals(), mixed.spec().Arrivals()
 	for {
-		at, model, ok := g.next()
-		atm, modelm, okm := gm.next()
+		at, model, _, ok := g.Next()
+		atm, modelm, _, okm := gm.Next()
 		if ok != okm {
 			t.Fatal("length diverged")
 		}

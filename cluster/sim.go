@@ -7,6 +7,7 @@ import (
 
 	"neuralcache"
 	"neuralcache/internal/node"
+	"neuralcache/obs"
 	"neuralcache/plan"
 	"neuralcache/serve"
 )
@@ -87,6 +88,7 @@ type simNode struct {
 	epoch int
 
 	core       *node.Core[struct{}]
+	lanes      *obs.Node // the node's trace process; nil when tracing is off
 	maxDepth   int
 	lastLinger time.Duration
 
@@ -123,9 +125,9 @@ type sim struct {
 	seq    uint64
 	now    time.Duration
 
-	gen      arrivals
+	gen      *node.Arrivals
 	observer *mixObserver
-	tracer   *tracer
+	trace    *obs.Trace
 	timeline *fleetTimeline
 
 	perModel []*modelStats
@@ -165,7 +167,8 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		models: models,
 		names:  make([]string, len(models)),
 		index:  make(map[string]int, len(models)),
-		gen:    load.arrivals(),
+		gen:    load.spec().Arrivals(),
+		trace:  o.Trace,
 	}
 	for i, m := range models {
 		if m == nil {
@@ -183,6 +186,10 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		if _, err := s.resolve(name); err != nil {
 			return nil, err
 		}
+	}
+	if s.trace != nil {
+		s.trace.Emit(obs.Event{Name: "process_name", Phase: obs.PhaseMetadata, Args: &obs.Args{Name: "cluster"}})
+		s.trace.Emit(obs.Event{Name: "thread_name", Phase: obs.PhaseMetadata, Args: &obs.Args{Name: "router"}})
 	}
 	for _, spec := range o.Nodes {
 		sys, err := spec.system()
@@ -203,11 +210,11 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 			Models: s.names, Groups: spec.Replicas,
 			MaxBatch: spec.MaxBatch, MaxLinger: spec.MaxLinger,
 		}, n)
+		n.lanes = s.trace.Node(n.index+1, spec.Name, s.names,
+			serve.GroupLanes(spec.Slices, spec.GroupSize, spec.Replicas), false)
 		s.nodes = append(s.nodes, n)
 	}
 	s.observer = newMixObserver(o.ObserverHalfLife, len(models))
-	s.tracer = newTracer(o.Trace)
-	s.tracer.begin(o.Nodes)
 	if o.TimelineInterval > 0 {
 		s.timeline = &fleetTimeline{interval: o.TimelineInterval, next: o.TimelineInterval}
 	}
@@ -231,12 +238,8 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 	for _, ev := range o.Events {
 		s.push(&event{at: ev.At, kind: evLifecycle, node: ev.Node, change: ev.Kind})
 	}
-	if at, model, ok := s.gen.next(); ok {
-		mi, err := s.resolve(model)
-		if err != nil {
-			return nil, err
-		}
-		s.push(&event{at: at, kind: evArrival, model: mi})
+	if err := s.scheduleArrival(); err != nil {
+		return nil, err
 	}
 	for len(s.events) > 0 {
 		e := heap.Pop(&s.events).(*event)
@@ -280,6 +283,21 @@ func (s *sim) resolve(name string) (int, error) {
 		return 0, fmt.Errorf("cluster: model %q not registered", name)
 	}
 	return mi, nil
+}
+
+// scheduleArrival pushes the next arrival, if any; the fleet ignores
+// the generator's reuse keys.
+func (s *sim) scheduleArrival() error {
+	at, model, _, ok := s.gen.Next()
+	if !ok {
+		return nil
+	}
+	mi, err := s.resolve(model)
+	if err != nil {
+		return err
+	}
+	s.push(&event{at: at, kind: evArrival, model: mi})
+	return nil
 }
 
 func (s *sim) push(e *event) {
@@ -330,15 +348,11 @@ func (n *simNode) Restage(g, mi, from int) error {
 	if err != nil {
 		return err
 	}
-	evicted := ""
-	if from >= 0 {
-		evicted = s.names[from]
-	}
 	s.push(&event{at: s.now + rel, kind: evRestage, node: n.index, epoch: n.epoch, shard: g})
 	n.restages++
 	n.busy += rel
 	n.winBusy += rel
-	s.tracer.restage(n.index, g, s.names[mi], evicted, s.now, rel)
+	n.lanes.Restage(g, mi, from, s.now, rel)
 	s.timeline.noteRestage()
 	return nil
 }
@@ -346,7 +360,7 @@ func (n *simNode) Restage(g, mi, from int) error {
 // Replanned implements node.Clock.
 func (n *simNode) Replanned(now time.Duration, drift float64, ops int) {
 	n.replans++
-	n.s.tracer.replan(n.index, now, n.replans, drift, ops)
+	n.lanes.Replan(now, n.replans, drift, ops)
 	n.s.timeline.noteReplan()
 }
 
@@ -386,7 +400,10 @@ func (s *sim) onArrival(e *event) error {
 		s.rejectedNoNode++
 		st.rejected++
 		s.timeline.noteRejected()
-		s.tracer.rejectNoNode(s.names[mi], s.now)
+		if s.trace != nil {
+			s.trace.Emit(obs.Event{Name: "reject:no-node", Cat: "admission", Phase: obs.PhaseInstant,
+				Scope: "t", Ts: obs.Micros(s.now), Cname: "terrible", Args: &obs.Args{Model: s.names[mi]}})
+		}
 	default:
 		n := s.nodes[pick]
 		n.routed++
@@ -395,7 +412,7 @@ func (s *sim) onArrival(e *event) error {
 			n.rejected++
 			st.rejected++
 			s.timeline.noteRejected()
-			s.tracer.rejectFull(pick, s.names[mi], s.now)
+			n.lanes.Reject(mi, s.now)
 			break
 		}
 		n.core.Push(mi, s.now, struct{}{})
@@ -405,14 +422,7 @@ func (s *sim) onArrival(e *event) error {
 			s.maxDepth = s.depth
 		}
 	}
-	if at, model, ok := s.gen.next(); ok {
-		mi, err := s.resolve(model)
-		if err != nil {
-			return err
-		}
-		s.push(&event{at: at, kind: evArrival, model: mi})
-	}
-	return nil
+	return s.scheduleArrival()
 }
 
 func (s *sim) onCompletion(e *event) error {
@@ -455,7 +465,7 @@ func (s *sim) onLifecycle(e *event) error {
 		if n.state == stateDown {
 			return fmt.Errorf("cluster: kill of down node %s at %v", n.spec.Name, s.now)
 		}
-		s.tracer.lifecycle(e.node, KillNode, s.now)
+		n.lanes.Mark(KillNode.String(), "lifecycle", "terrible", s.now)
 		// Queued requests die with the node; in-flight batches are
 		// counted lost when their stale-epoch completions pop.
 		for mi := range s.names {
@@ -474,7 +484,7 @@ func (s *sim) onLifecycle(e *event) error {
 		if n.state != stateLive {
 			return fmt.Errorf("cluster: drain of %s node %s at %v", n.state, n.spec.Name, s.now)
 		}
-		s.tracer.lifecycle(e.node, DrainNode, s.now)
+		n.lanes.Mark(DrainNode.String(), "lifecycle", "", s.now)
 		n.state = stateDraining
 	case JoinNode:
 		switch n.state {
@@ -498,7 +508,7 @@ func (s *sim) onLifecycle(e *event) error {
 				}
 			}
 		}
-		s.tracer.lifecycle(e.node, JoinNode, s.now)
+		n.lanes.Mark(JoinNode.String(), "lifecycle", "", s.now)
 	}
 	return nil
 }
@@ -570,6 +580,11 @@ func (s *sim) dispatchBatch(n *simNode, mi int) error {
 	n.busy += occupancy
 	n.winBusy += occupancy
 	s.timeline.noteDispatch(warmHit)
-	s.tracer.batch(n.index, shard, name, take, !warmHit, n.batches, s.now, st, rel)
+	if n.lanes != nil {
+		for _, at := range batch {
+			n.lanes.Queued(mi, at, s.now, n.batches)
+		}
+		n.lanes.Batch(shard, mi, take, !warmHit, n.batches, s.now, st, rel)
+	}
 	return n.core.Step(mi, take, s.now)
 }

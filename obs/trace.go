@@ -1,19 +1,28 @@
-// Package obs provides the serving tier's observability primitives: a
-// Chrome trace-event recorder (viewable in Perfetto / chrome://tracing)
-// and the time-series timeline types the load drivers sample into.
+// Package obs provides the serving tier's observability: a Chrome
+// trace-event recorder (viewable in Perfetto / chrome://tracing), the
+// node lane layout every serving driver records on, and the timeline
+// types with the one virtual-clock sampler.
 //
 // The recorder is deliberately clock-agnostic: callers stamp events
-// with whatever clock they run on. serve.Simulate stamps its virtual
-// clock, so a trace of a simulated run serializes byte-identically on
-// every run; the real serve.Server stamps wall-clock offsets from its
-// start. Events carry no maps or pointers into live state — every
-// field marshals in declaration order — so serialization is
-// deterministic whenever the emission order is.
+// with whatever clock they run on. serve.Simulate and cluster.Simulate
+// stamp their virtual clock, so a trace of a simulated run serializes
+// byte-identically on every run; the real serve.Server stamps
+// wall-clock offsets from its start. Events carry no maps or pointers
+// into live state — every field marshals in declaration order — so
+// serialization is deterministic whenever the emission order is.
+//
+// Trace.Node lays out one serving node as one trace process (control
+// lane, a queue lane per model, a lane per replica group, an optional
+// front-cache lane) at a caller-chosen pid: serve records its node at
+// pid 0, cluster.Simulate node i at pid i+1. Sampler is the
+// virtual-clock timeline sampler both simulators share; it integrates
+// each replica group's busy time exactly.
 package obs
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"sort"
 	"sync"
@@ -78,7 +87,8 @@ type Event struct {
 func Micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // Trace is an append-only recorder of trace events, safe for
-// concurrent use. The zero value is ready to record.
+// concurrent use. The zero value is ready to record. A Trace holds one
+// run: declaring a node's lanes twice would duplicate their metadata.
 type Trace struct {
 	mu     sync.Mutex
 	events []Event
@@ -91,8 +101,11 @@ func (t *Trace) Emit(e Event) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of recorded events (0 on a nil Trace).
 func (t *Trace) Len() int {
+	if t == nil {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
@@ -100,6 +113,9 @@ func (t *Trace) Len() int {
 
 // Events returns a copy of the recorded events in emission order.
 func (t *Trace) Events() []Event {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
@@ -112,6 +128,9 @@ func (t *Trace) Events() []Event {
 // recorder fed deterministically (the virtual clock) serializes
 // byte-identically on every run.
 func (t *Trace) WriteJSON(w io.Writer) error {
+	if t == nil {
+		return errors.New("obs: WriteJSON on a nil Trace")
+	}
 	t.mu.Lock()
 	events := append([]Event(nil), t.events...)
 	t.mu.Unlock()

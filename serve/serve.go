@@ -116,6 +116,7 @@ import (
 
 	"neuralcache"
 	"neuralcache/internal/node"
+	"neuralcache/obs"
 	"neuralcache/plan"
 )
 
@@ -185,15 +186,18 @@ type Options struct {
 	// Simulate's virtual clock, live on the real Server. Requires Plan;
 	// the zero value disables.
 	Replan plan.ControllerConfig
-	// Trace, when non-nil, records the run's full request lifecycle —
-	// queue spans, warm/cold batch spans with reload sub-spans, restage
-	// spans, rejection and re-plan instants — as Chrome trace events
-	// (Tracer.WriteJSON, viewable in Perfetto). Simulate stamps its
-	// virtual clock, so the serialized trace is byte-identical across
-	// runs and worker counts; NewServer stamps wall-clock offsets. A
-	// Tracer holds one run. nil (the default) records nothing and adds
-	// no cost.
-	Trace *Tracer
+	// Trace, when non-nil, records the run's full request lifecycle as
+	// Chrome trace events (WriteJSON, viewable in Perfetto). The node is
+	// process 0 in obs.Node's lane layout: a control lane (re-plan
+	// instants), one queue lane per registered model (queue spans,
+	// rejection, cancellation and cache-hit instants), one lane per
+	// replica group (warm/cold batch spans — a cold one with reload
+	// and service sub-spans — and restage spans), and a front-cache
+	// lane when Cache is on. Simulate stamps its virtual clock, so the
+	// serialized trace is byte-identical across runs and worker counts;
+	// NewServer stamps wall-clock offsets. A Trace holds one run. nil
+	// (the default) records nothing and adds no cost.
+	Trace *obs.Trace
 	// TimelineInterval, when positive, samples the run's time series
 	// every interval into LoadReport.Timeline: queue depth, busy
 	// groups, per-group utilization, offered/served/rejected and
@@ -329,6 +333,17 @@ func shardFor(id, slicesPerSocket, groupSize int) Shard {
 		sh.Width = groupSize
 	}
 	return sh
+}
+
+// GroupLanes names the trace lanes of a node's first groups replica
+// groups of groupSize slices, slicesPerSocket slices to a socket: each
+// group's shard coordinates, as obs.Trace.Node takes them.
+func GroupLanes(slicesPerSocket, groupSize, groups int) []string {
+	names := make([]string, groups)
+	for g := range names {
+		names[g] = shardFor(g, slicesPerSocket, groupSize).String()
+	}
+	return names
 }
 
 // planServable checks that a plan leaves every registered model an

@@ -10,6 +10,7 @@ import (
 
 	"neuralcache"
 	"neuralcache/internal/node"
+	"neuralcache/obs"
 	"neuralcache/plan"
 )
 
@@ -98,7 +99,7 @@ type Server struct {
 
 	// tracer records the request lifecycle on the wall clock (offsets
 	// from started); nil when tracing is off — every emit is a no-op.
-	tracer *Tracer
+	tracer *obs.Node
 
 	mu         sync.RWMutex // guards closed against concurrent Submit/Close
 	closed     bool
@@ -188,14 +189,8 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	}
 	// The tracer must attach before plan adoption: startup pre-stages
 	// are part of the recorded lifecycle.
-	if o.Trace != nil {
-		shards := make([]Shard, o.Replicas)
-		for i := range shards {
-			shards[i] = s.stats.perShard[i].Shard
-		}
-		o.Trace.begin("wall", s.names, shards, o.Cache.Enabled())
-		s.tracer = o.Trace
-	}
+	s.tracer = o.Trace.Node(0, "neuralcache/serve (wall clock)", s.names,
+		GroupLanes(s.slices, s.groupSize, o.Replicas), o.Cache.Enabled())
 	// Pre-stages release on their own goroutines, so adopt under the
 	// core lock.
 	s.coreMu.Lock()
@@ -215,15 +210,10 @@ type wallClock struct{ s *Server }
 
 func (c wallClock) Restage(g, mi, from int) error {
 	s := c.s
-	model := s.names[mi]
 	// A registered model always prices; were it not to, the group still
 	// frees (after no wait) rather than stay claimed forever.
-	cost, _ := s.backend.ReloadTime(model, s.groupSize)
-	evicted := ""
-	if from >= 0 {
-		evicted = s.names[from]
-	}
-	s.noteRestage(g, model, evicted, cost)
+	cost, _ := s.backend.ReloadTime(s.names[mi], s.groupSize)
+	s.noteRestage(g, mi, from, cost)
 	s.execWG.Add(1)
 	go func() {
 		defer s.execWG.Done()
@@ -239,7 +229,7 @@ func (c wallClock) Replanned(now time.Duration, drift float64, ops int) {
 	s.stats.replans++
 	nth := int(s.stats.replans)
 	s.stats.Unlock()
-	s.tracer.replan(now, nth, drift, ops)
+	s.tracer.Replan(now, nth, drift, ops)
 }
 
 // release ends group g's batch or restage (chaining into a restage a
@@ -266,10 +256,9 @@ func (s *Server) Plan() *plan.Plan {
 // noteRestage counts one planner restage on a group, charging its
 // reload into the group's busy time — the same accounting the
 // simulator applies, so planned utilization reads identically on both
-// drivers — and traces the staging span. model is what the restage
-// stages, from what it evicts ("" when the group held nothing or the
-// caller does not track it).
-func (s *Server) noteRestage(id int, model, from string, cost time.Duration) {
+// drivers — and traces the staging span. mi is the model the restage
+// stages, from the one it evicts (-1 when the group held nothing).
+func (s *Server) noteRestage(id, mi, from int, cost time.Duration) {
 	s.stats.Lock()
 	if id >= 0 && id < len(s.stats.perShard) {
 		s.stats.perShard[id].Restages++
@@ -277,7 +266,7 @@ func (s *Server) noteRestage(id int, model, from string, cost time.Duration) {
 	}
 	s.stats.restages++
 	s.stats.Unlock()
-	s.tracer.restage(id, model, from, time.Since(s.started), cost)
+	s.tracer.Restage(id, mi, from, time.Since(s.started), cost)
 }
 
 // Options returns the server's effective (defaulted) options.
@@ -389,7 +378,7 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 			mc.Served++
 			mc.CacheHits++
 			s.stats.Unlock()
-			s.tracer.cacheHit(name, time.Since(s.started))
+			s.tracer.CacheHit(s.index[name], time.Since(s.started))
 			if s.ctrl != nil {
 				s.ctrl.ObserveCacheHit(name, time.Since(s.started))
 			}
@@ -460,7 +449,7 @@ func (s *Server) admit(ctx context.Context, wait bool, model string) error {
 			s.stats.rejected++
 			s.stats.model(model).Rejected++
 			s.stats.Unlock()
-			s.tracer.reject(model, time.Since(s.started))
+			s.tracer.Reject(s.index[model], time.Since(s.started))
 			return ErrQueueFull
 		}
 		select {
@@ -601,7 +590,7 @@ func (s *Server) dispatch(mi int, now time.Duration) {
 			s.stats.canceled++
 			s.stats.model(r.model).Canceled++
 			s.stats.Unlock()
-			s.tracer.cancel(r.model, time.Since(s.started))
+			s.tracer.Cancel(r.mi, time.Since(s.started))
 			continue
 		}
 		live = append(live, r)
@@ -661,7 +650,7 @@ func (s *Server) dispatch(mi int, now time.Duration) {
 		if s.tracer != nil {
 			start := dispatched.Sub(s.started)
 			for _, r := range live {
-				s.tracer.queued(model, r.enqueued.Sub(s.started), start, seq)
+				s.tracer.Queued(mi, r.enqueued.Sub(s.started), start, seq)
 			}
 			// The wall clock cannot split the measured span into reload
 			// and service; charge the modeled §IV-E reload on cold
@@ -673,7 +662,7 @@ func (s *Server) dispatch(mi int, now time.Duration) {
 					reload = min(rel, span)
 				}
 			}
-			s.tracer.batch(id, model, len(live), !warm, seq, start, span-reload, reload)
+			s.tracer.Batch(id, mi, len(live), !warm, seq, start, span-reload, reload)
 		}
 		for i, r := range live {
 			resp := &Response{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"neuralcache/internal/node"
+	"neuralcache/obs"
 )
 
 // ModelShare is one model's weight in a generated traffic mix: Model
@@ -181,7 +182,7 @@ type sim struct {
 	restages, replans int
 	lastLinger        time.Duration
 
-	tracer   *Tracer      // nil when tracing is off (emits are no-ops)
+	tracer   *obs.Node    // nil when tracing is off (emits are no-ops)
 	timeline *simTimeline // nil when timeline sampling is off
 
 	gen *node.Arrivals
@@ -260,14 +261,8 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 	}
 	// Observability must attach before plan adoption: the startup
 	// pre-stages below are part of the recorded run.
-	if o.Trace != nil {
-		shards := make([]Shard, o.Replicas)
-		for i := range shards {
-			shards[i] = s.shardUse[i].Shard
-		}
-		o.Trace.begin("virtual", modelNames(registered), shards, o.Cache.Enabled())
-		s.tracer = o.Trace
-	}
+	s.tracer = o.Trace.Node(0, "neuralcache/serve (virtual clock)", modelNames(registered),
+		GroupLanes(slices, s.groupSize, o.Replicas), o.Cache.Enabled())
 	if o.TimelineInterval > 0 {
 		s.timeline = newSimTimeline(o.TimelineInterval, o.Replicas)
 	}
@@ -322,11 +317,7 @@ func (s *sim) Restage(g, mi, from int) error {
 	u.Restages++
 	u.Busy += rel
 	s.restages++
-	fromName := ""
-	if from >= 0 {
-		fromName = s.models[from].name
-	}
-	s.tracer.restage(g, s.models[mi].name, fromName, s.now, rel)
+	s.tracer.Restage(g, mi, from, s.now, rel)
 	s.timeline.charge(g, s.now, rel)
 	return nil
 }
@@ -336,7 +327,7 @@ func (s *sim) Restage(g, mi, from int) error {
 // equal timestamps).
 func (s *sim) Replanned(now time.Duration, drift float64, ops int) {
 	s.replans++
-	s.tracer.replan(now, s.replans, drift, ops)
+	s.tracer.Replan(now, s.replans, drift, ops)
 }
 
 // scheduleArrival pushes the next open-loop arrival, if any.
@@ -418,7 +409,7 @@ func (s *sim) onArrival(e *event) error {
 		if done > s.lastCompletion {
 			s.lastCompletion = done
 		}
-		s.tracer.cacheHit(m.name, s.now)
+		s.tracer.CacheHit(e.model, s.now)
 		if ctrl := s.core.Controller(); ctrl != nil {
 			ctrl.ObserveCacheHit(m.name, s.now)
 		}
@@ -430,7 +421,7 @@ func (s *sim) onArrival(e *event) error {
 		// queue depth, so the population can never overfill it.
 		s.rejected++
 		m.rejected++
-		s.tracer.reject(m.name, s.now)
+		s.tracer.Reject(e.model, s.now)
 	default:
 		s.syncDepth()
 		s.core.Push(e.model, s.now, simItem{user: e.user, key: e.key})
@@ -535,9 +526,9 @@ func (s *sim) dispatchBatch(mi int) error {
 	}
 	if s.tracer != nil {
 		for _, at := range batch {
-			s.tracer.queued(m.name, at, s.now, s.batches)
+			s.tracer.Queued(mi, at, s.now, s.batches)
 		}
-		s.tracer.batch(shard, m.name, n, !warmHit, s.batches, s.now, st, rel)
+		s.tracer.Batch(shard, mi, n, !warmHit, s.batches, s.now, st, rel)
 	}
 	s.timeline.charge(shard, s.now, occupancy)
 	return s.core.Step(mi, n, s.now)
