@@ -120,3 +120,46 @@ func TestTimelineJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplerIntegratesExactly: a group's busy time lands in the windows
+// its interval covers, boundaries sample the right-limit (an event at a
+// boundary counts in the window it closes), a cut interval stops at the
+// cut, a short final window closes the run, and windowed counters are
+// the differences of the driver's running totals.
+func TestSamplerIntegratesExactly(t *testing.T) {
+	const ms = time.Millisecond
+	served := 0
+	s := NewSampler(10*ms, 2, func() TimelinePoint { return TimelinePoint{Served: served} })
+	s.Charge(0, 5*ms, 10*ms) // group 0 busy [5, 15)
+	s.Advance(10 * ms)       // the boundary at 10 waits for events at 10
+	served = 3               // an event at exactly 10
+	s.Advance(25 * ms)
+	s.Charge(1, 25*ms, 10*ms) // group 1 busy [25, 35), cut at 28
+	s.Advance(28 * ms)
+	s.Cut(1, 28*ms)
+	served = 5
+	tl := s.Finish(34 * ms)
+
+	want := []TimelinePoint{
+		{T: 10 * ms, BusyGroups: 1, Served: 3, GroupUtil: []float64{0.5, 0}},
+		{T: 20 * ms, GroupUtil: []float64{0.5, 0}},
+		{T: 30 * ms, Served: 2, GroupUtil: []float64{0, 0.3}},
+		{T: 34 * ms, GroupUtil: []float64{0, 0}},
+	}
+	if tl.Interval != 10*ms || len(tl.Samples) != len(want) {
+		t.Fatalf("timeline %+v, want %d samples every 10ms", tl, len(want))
+	}
+	for i, p := range tl.Samples {
+		w := want[i]
+		if p.T != w.T || p.BusyGroups != w.BusyGroups || p.Served != w.Served ||
+			p.GroupUtil[0] != w.GroupUtil[0] || p.GroupUtil[1] != w.GroupUtil[1] {
+			t.Errorf("sample %d = %+v, want %+v", i, p, w)
+		}
+	}
+	var nilSampler *Sampler
+	nilSampler.Charge(0, 0, ms)
+	nilSampler.Advance(ms)
+	if nilSampler.Finish(ms) != nil {
+		t.Error("nil sampler returned a timeline")
+	}
+}

@@ -14,8 +14,8 @@ import (
 )
 
 // wallTimeline samples a running Server's time series on a wall-clock
-// ticker — the LoadTest counterpart of the simulator's virtual-clock
-// simTimeline. Counter fields are windowed by differencing Stats
+// ticker — the LoadTest counterpart of the simulators' virtual-clock
+// obs.Sampler. Counter fields are windowed by differencing Stats
 // snapshots; depth and occupancy are read live. Unlike the virtual
 // sampler it cannot integrate busy time exactly: a group's busy is
 // charged when its batch completes, so a window's GroupUtil can exceed

@@ -216,6 +216,16 @@ type Options struct {
 	Cache CacheOptions
 }
 
+// Tracer is the recorder Options.Trace takes: an obs.Trace, on which
+// Simulate and Server declare their node's lanes at pid 0 (obs.Node)
+// and record the run's full request lifecycle. Write it out with
+// WriteJSON and load the file in Perfetto (ui.perfetto.dev) or
+// chrome://tracing.
+type Tracer = obs.Trace
+
+// NewTracer returns an empty single-run tracer.
+func NewTracer() *Tracer { return &Tracer{} }
+
 // NoLinger disables the batcher's linger wait: a batch dispatches as
 // soon as a replica is free, however small it is.
 const NoLinger time.Duration = -1

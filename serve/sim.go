@@ -183,7 +183,7 @@ type sim struct {
 	lastLinger        time.Duration
 
 	tracer   *obs.Node    // nil when tracing is off (emits are no-ops)
-	timeline *simTimeline // nil when timeline sampling is off
+	timeline *obs.Sampler // nil when timeline sampling is off
 
 	gen *node.Arrivals
 
@@ -264,7 +264,7 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 	s.tracer = o.Trace.Node(0, "neuralcache/serve (virtual clock)", modelNames(registered),
 		GroupLanes(slices, s.groupSize, o.Replicas), o.Cache.Enabled())
 	if o.TimelineInterval > 0 {
-		s.timeline = newSimTimeline(o.TimelineInterval, o.Replicas)
+		s.timeline = obs.NewSampler(o.TimelineInterval, o.Replicas, s.totals)
 	}
 	// Pre-stage every pinned group: the group spends the model's reload
 	// time streaming filters before its first batch, so the traffic it
@@ -285,7 +285,7 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 	}
 	for len(s.events) > 0 {
 		e := heap.Pop(&s.events).(*event)
-		s.timeline.advance(e.at, s)
+		s.timeline.Advance(e.at)
 		s.now = e.at
 		switch e.kind {
 		case evArrival:
@@ -318,7 +318,7 @@ func (s *sim) Restage(g, mi, from int) error {
 	u.Busy += rel
 	s.restages++
 	s.tracer.Restage(g, mi, from, s.now, rel)
-	s.timeline.charge(g, s.now, rel)
+	s.timeline.Charge(g, s.now, rel)
 	return nil
 }
 
@@ -328,6 +328,26 @@ func (s *sim) Restage(g, mi, from int) error {
 func (s *sim) Replanned(now time.Duration, drift float64, ops int) {
 	s.replans++
 	s.tracer.Replan(now, s.replans, drift, ops)
+}
+
+// totals reports the run's state to the timeline sampler: queue depth
+// and controller drift now, and every counter as a run total.
+func (s *sim) totals() obs.TimelinePoint {
+	p := obs.TimelinePoint{
+		QueueDepth:     s.core.Depth(),
+		Offered:        s.offered,
+		Served:         s.served,
+		Rejected:       s.rejected,
+		WarmDispatches: s.warm,
+		ColdDispatches: s.cold,
+		Restages:       s.restages,
+		Replans:        s.replans,
+		CacheHits:      s.cacheHits,
+	}
+	if ctrl := s.core.Controller(); ctrl != nil {
+		p.MixDrift = ctrl.Drift()
+	}
+	return p
 }
 
 // scheduleArrival pushes the next open-loop arrival, if any.
@@ -530,7 +550,7 @@ func (s *sim) dispatchBatch(mi int) error {
 		}
 		s.tracer.Batch(shard, mi, n, !warmHit, s.batches, s.now, st, rel)
 	}
-	s.timeline.charge(shard, s.now, occupancy)
+	s.timeline.Charge(shard, s.now, occupancy)
 	return s.core.Step(mi, n, s.now)
 }
 
@@ -598,12 +618,10 @@ func (s *sim) report(backend Backend, load Load) (*LoadReport, error) {
 		r.PerModel = append(r.PerModel, mu)
 		perModelLat[m.name] = m.latencies
 	}
-	if s.timeline != nil {
-		// s.now is the final event's time (≥ last completion: trailing
-		// restages included), so the closing sample catches every
-		// counter increment and windowed sums equal the run totals.
-		r.Timeline = s.timeline.finish(s.now, s)
-	}
+	// s.now is the final event's time (≥ last completion: trailing
+	// restages included), so the closing sample catches every counter
+	// increment and windowed sums equal the run totals.
+	r.Timeline = s.timeline.Finish(s.now)
 	makespan := s.lastCompletion - s.firstArrival
 	r.Makespan = makespan
 	if makespan > 0 {
