@@ -261,8 +261,18 @@ func (s *sim) report() (*Report, error) {
 		mu.P99 = report.Percentile(st.latencies, 0.99)
 		r.PerModel = append(r.PerModel, mu)
 	}
-	if s.timeline != nil {
-		r.Timeline = s.timeline.finish(s)
+	if r.Timeline = s.timeline.Finish(s.now); r.Timeline != nil {
+		// One utilization per node: the mean of its groups' fractions.
+		for i, p := range r.Timeline.Samples {
+			util := make([]float64, len(s.nodes))
+			for j, n := range s.nodes {
+				for _, u := range p.GroupUtil[n.base : n.base+n.groups] {
+					util[j] += u
+				}
+				util[j] /= float64(n.groups)
+			}
+			r.Timeline.Samples[i].GroupUtil = util
+		}
 	}
 	return r, nil
 }
@@ -305,113 +315,4 @@ func (r *Report) String() string {
 		b.WriteString(models.String())
 	}
 	return b.String()
-}
-
-// fleetTimeline samples the fleet's time series at a fixed interval of
-// the virtual clock. Instantaneous fields read the simulator state at
-// the boundary (before the boundary event applies); windowed counters
-// sum to the run totals. GroupUtil carries one entry per node — the
-// node's charged busy fraction of the window, which can exceed 1
-// briefly because occupancy is charged at claim.
-type fleetTimeline struct {
-	interval time.Duration
-	next     time.Duration
-	prev     time.Duration
-	samples  []obs.TimelinePoint
-
-	offered, served, rejected int
-	warm, cold                int
-	restages, replans         int
-}
-
-func (t *fleetTimeline) noteOffered() {
-	if t != nil {
-		t.offered++
-	}
-}
-
-func (t *fleetTimeline) noteServed(k int) {
-	if t != nil {
-		t.served += k
-	}
-}
-
-func (t *fleetTimeline) noteRejected() {
-	if t != nil {
-		t.rejected++
-	}
-}
-
-func (t *fleetTimeline) noteDispatch(warm bool) {
-	if t == nil {
-		return
-	}
-	if warm {
-		t.warm++
-	} else {
-		t.cold++
-	}
-}
-
-func (t *fleetTimeline) noteRestage() {
-	if t != nil {
-		t.restages++
-	}
-}
-
-func (t *fleetTimeline) noteReplan() {
-	if t != nil {
-		t.replans++
-	}
-}
-
-// advance emits every boundary at or before 'at', so each event is
-// accounted to the window it happens in.
-func (t *fleetTimeline) advance(at time.Duration, s *sim) {
-	if t == nil {
-		return
-	}
-	for t.next <= at {
-		t.emit(t.next, s)
-		t.next += t.interval
-	}
-}
-
-func (t *fleetTimeline) emit(at time.Duration, s *sim) {
-	window := at - t.prev
-	busy := 0
-	util := make([]float64, len(s.nodes))
-	for i, n := range s.nodes {
-		busy += n.core.Busy()
-		if window > 0 {
-			util[i] = n.winBusy.Seconds() / (window.Seconds() * float64(n.groups))
-		}
-		n.winBusy = 0
-	}
-	t.samples = append(t.samples, obs.TimelinePoint{
-		T:              at,
-		QueueDepth:     s.depth,
-		BusyGroups:     busy,
-		Offered:        t.offered,
-		Served:         t.served,
-		Rejected:       t.rejected,
-		WarmDispatches: t.warm,
-		ColdDispatches: t.cold,
-		Restages:       t.restages,
-		Replans:        t.replans,
-		GroupUtil:      util,
-	})
-	t.offered, t.served, t.rejected = 0, 0, 0
-	t.warm, t.cold = 0, 0
-	t.restages, t.replans = 0, 0
-	t.prev = at
-}
-
-// finish emits the final partial window and returns the series.
-func (t *fleetTimeline) finish(s *sim) *obs.Timeline {
-	end := s.now
-	if end > t.prev || len(t.samples) == 0 {
-		t.emit(end, s)
-	}
-	return &obs.Timeline{Interval: t.interval, Samples: t.samples}
 }

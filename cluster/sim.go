@@ -79,6 +79,7 @@ func (st nodeState) String() string {
 type simNode struct {
 	s       *sim
 	index   int
+	base    int // the node's first group in the fleet timeline's group order
 	spec    NodeSpec
 	sys     *neuralcache.System
 	backend serve.Backend
@@ -96,7 +97,7 @@ type simNode struct {
 	batches, batched               int
 	warm, cold, restages, replans  int
 	servedPerModel                 []int
-	busy, winBusy                  time.Duration
+	busy                           time.Duration
 	latencies                      []time.Duration
 }
 
@@ -128,7 +129,7 @@ type sim struct {
 	gen      *node.Arrivals
 	observer *mixObserver
 	trace    *obs.Trace
-	timeline *fleetTimeline
+	timeline *obs.Sampler
 
 	perModel []*modelStats
 
@@ -191,6 +192,7 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		s.trace.Emit(obs.Event{Name: "process_name", Phase: obs.PhaseMetadata, Args: &obs.Args{Name: "cluster"}})
 		s.trace.Emit(obs.Event{Name: "thread_name", Phase: obs.PhaseMetadata, Args: &obs.Args{Name: "router"}})
 	}
+	groups := 0
 	for _, spec := range o.Nodes {
 		sys, err := spec.system()
 		if err != nil {
@@ -199,6 +201,7 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		n := &simNode{
 			s:              s,
 			index:          len(s.nodes),
+			base:           groups,
 			spec:           spec,
 			sys:            sys,
 			backend:        serve.NewAnalyticBackend(sys, models[0], models[1:]...),
@@ -213,10 +216,11 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		n.lanes = s.trace.Node(n.index+1, spec.Name, s.names,
 			serve.GroupLanes(spec.Slices, spec.GroupSize, spec.Replicas), false)
 		s.nodes = append(s.nodes, n)
+		groups += spec.Replicas
 	}
 	s.observer = newMixObserver(o.ObserverHalfLife, len(models))
 	if o.TimelineInterval > 0 {
-		s.timeline = &fleetTimeline{interval: o.TimelineInterval, next: o.TimelineInterval}
+		s.timeline = obs.NewSampler(o.TimelineInterval, groups, s.totals)
 	}
 	// The initial planning mix: the load's first epoch, with the rate
 	// split evenly across the starting fleet. Per-node controllers take
@@ -243,7 +247,7 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 	}
 	for len(s.events) > 0 {
 		e := heap.Pop(&s.events).(*event)
-		s.timeline.advance(e.at, s)
+		s.timeline.Advance(e.at)
 		s.now = e.at
 		switch e.kind {
 		case evArrival:
@@ -351,9 +355,8 @@ func (n *simNode) Restage(g, mi, from int) error {
 	s.push(&event{at: s.now + rel, kind: evRestage, node: n.index, epoch: n.epoch, shard: g})
 	n.restages++
 	n.busy += rel
-	n.winBusy += rel
 	n.lanes.Restage(g, mi, from, s.now, rel)
-	s.timeline.noteRestage()
+	s.timeline.Charge(n.base+g, s.now, rel)
 	return nil
 }
 
@@ -361,7 +364,24 @@ func (n *simNode) Restage(g, mi, from int) error {
 func (n *simNode) Replanned(now time.Duration, drift float64, ops int) {
 	n.replans++
 	n.lanes.Replan(now, n.replans, drift, ops)
-	n.s.timeline.noteReplan()
+}
+
+// totals reports the fleet's state to the timeline sampler: admitted
+// but undispatched requests now, and every counter as a run total.
+func (s *sim) totals() obs.TimelinePoint {
+	p := obs.TimelinePoint{
+		QueueDepth: s.depth,
+		Offered:    s.offered,
+		Served:     s.served,
+		Rejected:   s.rejectedFull + s.rejectedNoNode,
+	}
+	for _, n := range s.nodes {
+		p.WarmDispatches += n.warm
+		p.ColdDispatches += n.cold
+		p.Restages += n.restages
+		p.Replans += n.replans
+	}
+	return p
 }
 
 // views snapshots every node for a routing decision.
@@ -389,7 +409,6 @@ func (s *sim) onArrival(e *event) error {
 	if s.offered == 1 {
 		s.firstArrival = s.now
 	}
-	s.timeline.noteOffered()
 	s.observer.observe(mi, s.now)
 	views := s.views()
 	pick := s.router.Pick(s.names[mi], views)
@@ -399,7 +418,6 @@ func (s *sim) onArrival(e *event) error {
 		// the front door rejects.
 		s.rejectedNoNode++
 		st.rejected++
-		s.timeline.noteRejected()
 		if s.trace != nil {
 			s.trace.Emit(obs.Event{Name: "reject:no-node", Cat: "admission", Phase: obs.PhaseInstant,
 				Scope: "t", Ts: obs.Micros(s.now), Cname: "terrible", Args: &obs.Args{Model: s.names[mi]}})
@@ -411,7 +429,6 @@ func (s *sim) onArrival(e *event) error {
 			s.rejectedFull++
 			n.rejected++
 			st.rejected++
-			s.timeline.noteRejected()
 			n.lanes.Reject(mi, s.now)
 			break
 		}
@@ -445,7 +462,6 @@ func (s *sim) onCompletion(e *event) error {
 	n.served += k
 	st.served += k
 	n.servedPerModel[e.model] += k
-	s.timeline.noteServed(k)
 	if s.now > s.lastCompletion {
 		s.lastCompletion = s.now
 	}
@@ -476,6 +492,9 @@ func (s *sim) onLifecycle(e *event) error {
 			}
 		}
 		s.depth -= n.core.Depth()
+		for g := 0; g < n.groups; g++ {
+			s.timeline.Cut(n.base+g, s.now)
+		}
 		n.core.Reset()
 		n.epoch++
 		n.state = stateDown
@@ -578,8 +597,7 @@ func (s *sim) dispatchBatch(n *simNode, mi int) error {
 		ms.cold++
 	}
 	n.busy += occupancy
-	n.winBusy += occupancy
-	s.timeline.noteDispatch(warmHit)
+	s.timeline.Charge(n.base+shard, s.now, occupancy)
 	if n.lanes != nil {
 		for _, at := range batch {
 			n.lanes.Queued(mi, at, s.now, n.batches)

@@ -144,8 +144,8 @@ func checkConservation(t *testing.T, r *Report) {
 }
 
 // TestTimelineWindowsSumToTotals: every windowed counter summed over
-// the timeline equals the run total, and instantaneous fields start
-// sane.
+// the timeline equals the run total, and every node's utilization lies
+// in [0, 1].
 func TestTimelineWindowsSumToTotals(t *testing.T) {
 	opts, load := goldenScenario()
 	rep, err := Simulate(testModels(), opts, load)
@@ -167,6 +167,13 @@ func TestTimelineWindowsSumToTotals(t *testing.T) {
 		replans += p.Replans
 		if len(p.GroupUtil) != len(opts.Nodes) {
 			t.Fatalf("sample has %d node utilizations for %d nodes", len(p.GroupUtil), len(opts.Nodes))
+		}
+		// Exact busy integration, with the kill at 400ms ending node0's
+		// open intervals, keeps every node's window mean in [0, 1].
+		for i, u := range p.GroupUtil {
+			if u < 0 || u > 1 {
+				t.Errorf("window ending %v: node %d utilization %v escapes [0, 1]", p.T, i, u)
+			}
 		}
 	}
 	if offered != rep.Offered || served != rep.Served || rejected != rep.Rejected {
