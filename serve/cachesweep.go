@@ -51,42 +51,31 @@ type CacheSweepPoint struct {
 // Virtual clock, deterministic: the same backend, options, load and
 // caps produce an identical sweep on every run.
 func SweepCache(backend Backend, opts Options, load Load, caps []int) ([]CacheSweepPoint, error) {
-	if len(caps) == 0 {
-		return nil, fmt.Errorf("serve: empty cache-capacity sweep")
-	}
-	seen := make(map[int]bool, len(caps))
-	out := make([]CacheSweepPoint, 0, len(caps))
-	for _, c := range caps {
-		if c < 0 {
-			return nil, fmt.Errorf("serve: cache capacity %d in sweep (must be non-negative)", c)
-		}
-		if seen[c] {
-			return nil, fmt.Errorf("serve: cache capacity %d repeated in sweep", c)
-		}
-		seen[c] = true
-		o := opts
-		o.Cache.Capacity = c
-		rep, err := Simulate(backend, o, load)
-		if err != nil {
-			return nil, fmt.Errorf("serve: sweep at cache capacity %d: %w", c, err)
-		}
-		out = append(out, CacheSweepPoint{
-			Capacity:         c,
-			HitRate:          rep.CacheHitRate,
-			Hits:             rep.CacheHits,
-			Misses:           rep.CacheMisses,
-			Evictions:        rep.CacheEvictions,
-			P50:              rep.P50,
-			P99:              rep.P99,
-			ThroughputPerSec: rep.ThroughputPerSec,
-			CapacityPerSec:   rep.CapacityPerSec,
-			Served:           rep.Served,
-			Rejected:         rep.Rejected,
-			FreeCapacity:     rep.ThroughputPerSec > rep.CapacityPerSec,
-			Report:           rep,
+	return sweep(backend, opts, load, caps, "cache capacity",
+		func(o *Options, c int) error {
+			if c < 0 {
+				return fmt.Errorf("serve: cache capacity %d in sweep (must be non-negative)", c)
+			}
+			o.Cache.Capacity = c
+			return nil
+		},
+		func(c int, rep *LoadReport) (CacheSweepPoint, error) {
+			return CacheSweepPoint{
+				Capacity:         c,
+				HitRate:          rep.CacheHitRate,
+				Hits:             rep.CacheHits,
+				Misses:           rep.CacheMisses,
+				Evictions:        rep.CacheEvictions,
+				P50:              rep.P50,
+				P99:              rep.P99,
+				ThroughputPerSec: rep.ThroughputPerSec,
+				CapacityPerSec:   rep.CapacityPerSec,
+				Served:           rep.Served,
+				Rejected:         rep.Rejected,
+				FreeCapacity:     rep.ThroughputPerSec > rep.CapacityPerSec,
+				Report:           rep,
+			}, nil
 		})
-	}
-	return out, nil
 }
 
 // SweepCacheTable renders a cache sweep as the CLI's break-even table.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"neuralcache/internal/report"
@@ -49,48 +50,71 @@ type GroupSweepPoint struct {
 // deterministic: the same backend, options, load and ks produce an
 // identical sweep on every run.
 func SweepGroups(backend Backend, opts Options, load Load, ks []int) ([]GroupSweepPoint, error) {
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("serve: empty group-size sweep")
+	return sweep(backend, opts, load, ks, "group size",
+		func(o *Options, k int) error {
+			o.GroupSize = k
+			o.Replicas = 0 // all groups of this size
+			return nil
+		},
+		func(k int, rep *LoadReport) (GroupSweepPoint, error) {
+			st, err := backend.ServiceTime("", rep.MaxBatch, k)
+			if err != nil {
+				return GroupSweepPoint{}, err
+			}
+			rel, err := backend.ReloadTime("", k)
+			if err != nil {
+				return GroupSweepPoint{}, err
+			}
+			return GroupSweepPoint{
+				GroupSize:        k,
+				Groups:           rep.Replicas,
+				P50:              rep.P50,
+				P99:              rep.P99,
+				Max:              rep.Max,
+				BatchServiceTime: st,
+				ReloadTime:       rel,
+				Served:           rep.Served,
+				Rejected:         rep.Rejected,
+				ThroughputPerSec: rep.ThroughputPerSec,
+				CapacityPerSec:   rep.CapacityPerSec,
+				WarmDispatches:   rep.WarmDispatches,
+				ColdDispatches:   rep.ColdDispatches,
+				Utilization:      rep.Utilization,
+				Report:           rep,
+			}, nil
+		})
+}
+
+// sweep is the loop under SweepGroups and SweepCache: it simulates the
+// load once per value of the knob — on opts as set adjusts them, set
+// failing the sweep for a value the knob cannot take — and turns each
+// run into a row. An empty or repeated value fails the sweep, as does
+// any run, wrapped with the knob and value it ran at.
+func sweep[P any](backend Backend, opts Options, load Load, values []int, knob string,
+	set func(*Options, int) error, row func(int, *LoadReport) (P, error)) ([]P, error) {
+	if len(values) == 0 {
+		return nil, fmt.Errorf("serve: empty %s sweep", strings.ReplaceAll(knob, " ", "-"))
 	}
-	seen := make(map[int]bool, len(ks))
-	out := make([]GroupSweepPoint, 0, len(ks))
-	for _, k := range ks {
-		if seen[k] {
-			return nil, fmt.Errorf("serve: group size %d repeated in sweep", k)
-		}
-		seen[k] = true
+	seen := make(map[int]bool, len(values))
+	out := make([]P, 0, len(values))
+	for _, v := range values {
 		o := opts
-		o.GroupSize = k
-		o.Replicas = 0 // all groups of this size
+		if err := set(&o, v); err != nil {
+			return nil, err
+		}
+		if seen[v] {
+			return nil, fmt.Errorf("serve: %s %d repeated in sweep", knob, v)
+		}
+		seen[v] = true
 		rep, err := Simulate(backend, o, load)
 		if err != nil {
-			return nil, fmt.Errorf("serve: sweep at group size %d: %w", k, err)
+			return nil, fmt.Errorf("serve: sweep at %s %d: %w", knob, v, err)
 		}
-		st, err := backend.ServiceTime("", rep.MaxBatch, k)
+		p, err := row(v, rep)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := backend.ReloadTime("", k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, GroupSweepPoint{
-			GroupSize:        k,
-			Groups:           rep.Replicas,
-			P50:              rep.P50,
-			P99:              rep.P99,
-			Max:              rep.Max,
-			BatchServiceTime: st,
-			ReloadTime:       rel,
-			Served:           rep.Served,
-			Rejected:         rep.Rejected,
-			ThroughputPerSec: rep.ThroughputPerSec,
-			CapacityPerSec:   rep.CapacityPerSec,
-			WarmDispatches:   rep.WarmDispatches,
-			ColdDispatches:   rep.ColdDispatches,
-			Utilization:      rep.Utilization,
-			Report:           rep,
-		})
+		out = append(out, p)
 	}
 	return out, nil
 }
