@@ -44,7 +44,8 @@
 // restages computed from the observer's current mix. Report aggregates
 // the per-node accounting into fleet percentiles, per-node utilization,
 // cross-node warm/cold/reload counts and rejects by cause, with an
-// optional obs.Trace (one process lane per node) and timeline.
+// optional obs.Trace (one process per node, laid out like a single
+// serve node) and a timeline sampled by obs.Sampler.
 package cluster
 
 import (
@@ -225,17 +226,24 @@ type Options struct {
 	// offered-mix EWMA that joining planned nodes warm up against.
 	// Default 500ms, matching plan.ControllerConfig.
 	ObserverHalfLife time.Duration
-	// Trace, when non-nil, records the run as Chrome trace events with
-	// one process lane per node (pid i+1; pid 0 is the cluster front
-	// door) — batch and restage spans per replica group, lifecycle and
-	// rejection instants. Byte-identical across runs on the virtual
-	// clock.
+	// Trace, when non-nil, records the run as Chrome trace events. Node
+	// i is process i+1 with serve's lane layout (obs.Node): a control
+	// lane (re-plan instants, and kill/drain/join instants), one queue
+	// lane per registered model (queue spans, queue-full rejections)
+	// and one lane per replica group (warm/cold batch spans — a cold
+	// one with reload and service sub-spans — and restage spans).
+	// Process 0 is the front door, whose router lane records the
+	// arrivals no accepting node could take. Byte-identical across runs
+	// on the virtual clock.
 	Trace *obs.Trace
 	// TimelineInterval, when positive, samples the fleet time series
-	// every interval into Report.Timeline: total queue depth and busy
-	// groups, windowed offered/served/rejected and warm/cold counts,
-	// and per-node utilization in GroupUtil (one entry per node). 0
-	// disables.
+	// every interval into Report.Timeline with serve's virtual-clock
+	// sampler (obs.Sampler): total queue depth and busy groups,
+	// windowed offered/served/rejected, warm/cold, restage and re-plan
+	// counts, and per-node utilization in GroupUtil — one entry per
+	// node, the mean of its groups' exactly integrated busy fractions,
+	// so every entry lies in [0, 1]. A kill ends the killed node's open
+	// busy intervals at the kill instant. 0 disables.
 	TimelineInterval time.Duration
 }
 

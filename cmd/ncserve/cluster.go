@@ -10,7 +10,6 @@ import (
 
 	"neuralcache"
 	"neuralcache/cluster"
-	"neuralcache/obs"
 	"neuralcache/serve"
 )
 
@@ -189,9 +188,6 @@ func runCluster(resident []*neuralcache.Model, copts cluster.Options, load clust
 		// Twice the surviving-fleet bound, like the single-node default:
 		// the report shows the routers at the fleet's throughput limit.
 		load.Rate = 2 * c
-	}
-	if traceOut != nil {
-		copts.Trace = &obs.Trace{}
 	}
 	rep, err := cluster.Simulate(resident, copts, load)
 	if err != nil {

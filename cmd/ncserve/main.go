@@ -77,9 +77,16 @@
 // (power-of-two-choices). The scenario plays lifecycle events from
 // -kill-node, -drain and -join (semicolon-separated t:node entries) and
 // a diurnal -rate-shift schedule (t:rate); -plan/-replan-threshold give
-// every node a mix-aware warm set and its own drift controller, and
-// -trace/-timeline record the fleet with one process lane per node. The
-// report aggregates fleet percentiles, per-node utilization and
+// every node a mix-aware warm set and its own drift controller. -trace
+// records the fleet as one trace process per node (pid i+1) with the
+// single-node lane layout — control, a queue lane per model, a lane per
+// replica group — behind the front door's router lane (pid 0:
+// no-accepting-node rejects); kills, drains and joins are instants on
+// the node's control lane. -timeline samples the fleet on the virtual
+// clock: fleet queue depth, busy groups and windowed counters, and one
+// group_util entry per node, the mean busy fraction of its groups (in
+// [0, 1]; a kill ends the node's busy intervals at the kill instant).
+// The report aggregates fleet percentiles, per-node utilization and
 // warm/cold/reload counts, and rejects by cause (queue-full vs
 // no-accepting-node).
 //
@@ -310,9 +317,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("-trace: %v", err)
 		}
-		if *clusterSpec == "" {
-			opts.Trace = serve.NewTracer()
-		}
+		opts.Trace = serve.NewTracer()
 	}
 	opts.TimelineInterval = *timeline
 	var debugLn net.Listener
@@ -357,6 +362,7 @@ func main() {
 			Nodes:            specs,
 			Router:           router,
 			Events:           events,
+			Trace:            opts.Trace,
 			TimelineInterval: *timeline,
 		}, cluster.Load{
 			Rate:         *rate,
