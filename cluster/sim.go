@@ -189,6 +189,7 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		}
 	}
 	if s.trace != nil {
+		// The front door is process 0, with one router lane.
 		s.trace.Emit(obs.Event{Name: "process_name", Phase: obs.PhaseMetadata, Args: &obs.Args{Name: "cluster"}})
 		s.trace.Emit(obs.Event{Name: "thread_name", Phase: obs.PhaseMetadata, Args: &obs.Args{Name: "router"}})
 	}
@@ -213,8 +214,10 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 			Models: s.names, Groups: spec.Replicas,
 			MaxBatch: spec.MaxBatch, MaxLinger: spec.MaxLinger,
 		}, n)
-		n.lanes = s.trace.Node(n.index+1, spec.Name, s.names,
-			serve.GroupLanes(spec.Slices, spec.GroupSize, spec.Replicas), false)
+		if s.trace != nil {
+			n.lanes = s.trace.Node(n.index+1, spec.Name, s.names,
+				serve.GroupLanes(spec.Slices, spec.GroupSize, spec.Replicas), false)
+		}
 		s.nodes = append(s.nodes, n)
 		groups += spec.Replicas
 	}

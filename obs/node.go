@@ -39,12 +39,8 @@ type Node struct {
 // Node declares a serving node's process and lanes on the trace and
 // returns its recorder: the process is named name, models name the
 // queue lanes, groups the replica-group lanes ("group " + groups[g]),
-// and cached adds the front-cache lane. A nil Trace returns a nil
-// *Node.
+// and cached adds the front-cache lane.
 func (t *Trace) Node(pid int, name string, models, groups []string, cached bool) *Node {
-	if t == nil {
-		return nil
-	}
 	n := &Node{tr: t, pid: pid, models: models, groupBase: queueBaseTid + len(models)}
 	t.Emit(Event{Name: "process_name", Phase: PhaseMetadata, Pid: pid, Args: &Args{Name: name}})
 	n.lane(controlTid, "control")

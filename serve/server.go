@@ -189,8 +189,10 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	}
 	// The tracer must attach before plan adoption: startup pre-stages
 	// are part of the recorded lifecycle.
-	s.tracer = o.Trace.Node(0, "neuralcache/serve (wall clock)", s.names,
-		GroupLanes(s.slices, s.groupSize, o.Replicas), o.Cache.Enabled())
+	if o.Trace != nil {
+		s.tracer = o.Trace.Node(0, "neuralcache/serve (wall clock)", s.names,
+			GroupLanes(s.slices, s.groupSize, o.Replicas), o.Cache.Enabled())
+	}
 	// Pre-stages release on their own goroutines, so adopt under the
 	// core lock.
 	s.coreMu.Lock()

@@ -261,8 +261,10 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 	}
 	// Observability must attach before plan adoption: the startup
 	// pre-stages below are part of the recorded run.
-	s.tracer = o.Trace.Node(0, "neuralcache/serve (virtual clock)", modelNames(registered),
-		GroupLanes(slices, s.groupSize, o.Replicas), o.Cache.Enabled())
+	if o.Trace != nil {
+		s.tracer = o.Trace.Node(0, "neuralcache/serve (virtual clock)", modelNames(registered),
+			GroupLanes(slices, s.groupSize, o.Replicas), o.Cache.Enabled())
+	}
 	if o.TimelineInterval > 0 {
 		s.timeline = obs.NewSampler(o.TimelineInterval, o.Replicas, s.totals)
 	}
