@@ -336,6 +336,7 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 		return nil, err
 	}
 	name := m.Name()
+	mi := s.index[name]
 	if in == nil {
 		if s.backend.RequiresInput() {
 			return nil, fmt.Errorf("serve: %s backend requires an input tensor", s.backend.Name())
@@ -380,7 +381,7 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 			mc.Served++
 			mc.CacheHits++
 			s.stats.Unlock()
-			s.tracer.CacheHit(s.index[name], time.Since(s.started))
+			s.tracer.CacheHit(mi, time.Since(s.started))
 			if s.ctrl != nil {
 				s.ctrl.ObserveCacheHit(name, time.Since(s.started))
 			}
@@ -392,13 +393,13 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 		s.stats.model(name).CacheMisses++
 		s.stats.Unlock()
 	}
-	if err := s.admit(ctx, wait, name); err != nil {
+	if err := s.admit(ctx, wait, mi); err != nil {
 		return nil, err
 	}
 	req := &request{
 		id:       s.nextID.Add(1),
 		model:    name,
-		mi:       s.index[name],
+		mi:       mi,
 		input:    in,
 		ctx:      ctx,
 		enqueued: time.Now(),
@@ -420,7 +421,7 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 // under-report the high-water mark. Without wait a full queue rejects
 // with ErrQueueFull; with wait the caller blocks until a dispatch frees
 // a slot, ctx is done, or the server closes.
-func (s *Server) admit(ctx context.Context, wait bool, model string) error {
+func (s *Server) admit(ctx context.Context, wait bool, mi int) error {
 	for {
 		d := s.depth.Load()
 		if d < int64(s.opts.QueueDepth) {
@@ -449,9 +450,9 @@ func (s *Server) admit(ctx context.Context, wait bool, model string) error {
 		if !wait {
 			s.stats.Lock()
 			s.stats.rejected++
-			s.stats.model(model).Rejected++
+			s.stats.model(s.names[mi]).Rejected++
 			s.stats.Unlock()
-			s.tracer.Reject(s.index[model], time.Since(s.started))
+			s.tracer.Reject(mi, time.Since(s.started))
 			return ErrQueueFull
 		}
 		select {
