@@ -103,9 +103,11 @@ func (r SkipReport) Density() float64 {
 
 // FaultInjector mutates a compute array the first time the functional
 // engine touches it (fault-campaign hook); ordinal is the round-robin
-// compute-array index. With Workers > 1 the injector may be invoked from
-// multiple goroutines concurrently, but never for the same ordinal twice
-// and never while any other goroutine holds that array.
+// compute-array index. The array is created zeroed at that first touch,
+// so the injector always sees a fresh array and arrays a run never
+// touches are never created or injected. With Workers > 1 the injector
+// may be invoked from multiple goroutines concurrently, but never for the
+// same ordinal twice and never while any other goroutine holds that array.
 type FaultInjector func(ordinal int, a *sram.Array)
 
 // RunFunctional executes the network bit-accurately on instantiated
@@ -188,11 +190,12 @@ type groupShare struct {
 	skipSaved     uint64 // compute cycles the elided slices would have cost
 }
 
-// arrayFor hands out the compute array with the given ordinal. Arrays are
-// not cleared between uses: every group fully overwrites the regions it
-// computes in, exactly as the stationary-filter schedule does. The caller
-// must own the ordinal (runGroups pins each ordinal to one worker per
-// section), which makes the first-touch bookkeeping race-free.
+// arrayFor hands out the compute array with the given ordinal; the cache
+// creates it on this first touch. Arrays are not cleared between uses:
+// every group fully overwrites the regions it computes in, exactly as the
+// stationary-filter schedule does. The caller must own the ordinal
+// (runGroups pins each ordinal to one worker per section), which makes
+// the lazy creation and the first-touch bookkeeping race-free.
 func (f *funcExec) arrayFor(ordinal int) *sram.Array {
 	arr := f.cache.ComputeArray(ordinal)
 	if !f.touched[ordinal] {

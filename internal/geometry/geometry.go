@@ -122,12 +122,14 @@ func (a ArrayAddr) String() string {
 	return fmt.Sprintf("s%d/w%d/b%d/sa%d/a%d", a.Slice, a.Way, a.Bank, a.SubArray, a.Index)
 }
 
-// Cache is an instantiated cache: the full tree of compute arrays. Arrays
-// are allocated eagerly; a 35 MB cache costs about 40 MB of host memory,
-// so functional tests typically instantiate reduced geometries.
+// Cache is an instantiated cache: the full tree of compute arrays, each
+// created on its first Array or ComputeArray call. New allocates only the
+// slot table (one pointer per array, about 35 KB for the 35 MB Xeon E5),
+// so a run pays host memory only for the arrays it touches: a SmallCNN
+// inference touches 73 of one slice's 320.
 type Cache struct {
 	cfg    Config
-	arrays []sram.Array // flat, indexed by flatIndex
+	arrays []*sram.Array // flat, indexed by flatIndex; nil until first touch
 }
 
 // New instantiates a cache for the geometry. It panics on an invalid
@@ -136,7 +138,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{cfg: cfg, arrays: make([]sram.Array, cfg.TotalArrays())}
+	return &Cache{cfg: cfg, arrays: make([]*sram.Array, cfg.TotalArrays())}
 }
 
 // Config returns the cache's geometry.
@@ -159,8 +161,17 @@ func (c *Cache) flatIndex(a ArrayAddr) int {
 	return i
 }
 
-// Array returns the compute array at the address.
-func (c *Cache) Array(a ArrayAddr) *sram.Array { return &c.arrays[c.flatIndex(a)] }
+// Array returns the compute array at the address, creating it zeroed on
+// first use. Creation writes only the address's own slot, so goroutines
+// that each own a disjoint set of addresses may call Array concurrently;
+// two goroutines must not race on the same address.
+func (c *Cache) Array(a ArrayAddr) *sram.Array {
+	i := c.flatIndex(a)
+	if c.arrays[i] == nil {
+		c.arrays[i] = new(sram.Array)
+	}
+	return c.arrays[i]
+}
 
 // Addr recovers the structured address of flat array index i.
 func (c *Cache) Addr(i int) ArrayAddr {
@@ -204,18 +215,18 @@ func (c Config) ComputeArrayAddr(i int) ArrayAddr {
 	}
 }
 
-// ComputeArray returns the compute array with the given ordinal. The
-// method itself is safe for concurrent use (it only reads the cache
-// structure); distinct ordinals return distinct arrays, so callers that
-// partition ordinals between goroutines — as the parallel functional
-// engine does — never share an *sram.Array.
+// ComputeArray returns the compute array with the given ordinal, creating
+// it on first use. Distinct ordinals return distinct arrays in distinct
+// slots, so callers that partition ordinals between goroutines — as the
+// parallel functional engine does — may call it concurrently and never
+// share an *sram.Array.
 func (c *Cache) ComputeArray(ordinal int) *sram.Array {
 	return c.Array(c.cfg.ComputeArrayAddr(ordinal))
 }
 
 // ForEachComputeArray calls fn for every array in the compute ways
 // (excluding the reserved CPU and I/O ways), in address order: ways 0 to
-// ComputeWays-1 of each slice.
+// ComputeWays-1 of each slice. It creates every array it visits.
 func (c *Cache) ForEachComputeArray(fn func(addr ArrayAddr, a *sram.Array)) {
 	cfg := c.cfg
 	for s := 0; s < cfg.Slices; s++ {
@@ -237,24 +248,28 @@ func (c *Cache) ForEachComputeArray(fn func(addr ArrayAddr, a *sram.Array)) {
 // way here).
 func (c *Cache) IOWay() int { return c.cfg.WaysPerSlice - c.cfg.ReservedCPUWays - 1 }
 
-// Stats sums the cycle counters of every array in the cache, in fixed
-// flat-index order. This is the deterministic merge point of the parallel
+// Stats sums the cycle counters of every array created so far, in fixed
+// flat-index order (an array never touched has spent no cycles). This is the deterministic merge point of the parallel
 // functional engine: workers never share an array, each array's counters
 // depend only on its own op stream, and the summation order here is
 // independent of how many goroutines produced them. Call it only after
 // all workers have quiesced.
 func (c *Cache) Stats() sram.Stats {
 	var s sram.Stats
-	for i := range c.arrays {
-		s.Add(c.arrays[i].Stats())
+	for _, a := range c.arrays {
+		if a != nil {
+			s.Add(a.Stats())
+		}
 	}
 	return s
 }
 
-// ResetStats clears every array's counters.
+// ResetStats clears the counters of every array created so far.
 func (c *Cache) ResetStats() {
-	for i := range c.arrays {
-		c.arrays[i].ResetStats()
+	for _, a := range c.arrays {
+		if a != nil {
+			a.ResetStats()
+		}
 	}
 }
 

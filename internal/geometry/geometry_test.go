@@ -1,6 +1,7 @@
 package geometry
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -86,6 +87,46 @@ func TestArrayIdentity(t *testing.T) {
 	b := c.Array(ArrayAddr{0, 3, 2, 1, 1})
 	if a1 == b {
 		t.Fatal("different addresses returned the same array")
+	}
+}
+
+// TestArraysAreCreatedOnFirstTouch: New allocates no array, an array
+// appears on its first ComputeArray call, and Stats sums only those.
+// Distinct ordinals may be touched from concurrent goroutines (run with
+// -race).
+func TestArraysAreCreatedOnFirstTouch(t *testing.T) {
+	c := New(XeonE5())
+	created := func() int {
+		n := 0
+		for _, a := range c.arrays {
+			if a != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := created(); n != 0 {
+		t.Fatalf("New created %d arrays, want 0", n)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 40; i += 4 {
+				c.ComputeArray(i).Zero(0, 1, false)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := created(); n != 40 {
+		t.Fatalf("touching 40 ordinals created %d arrays", n)
+	}
+	if got := c.Stats().ComputeCycles; got != 40 {
+		t.Fatalf("stats over the touched arrays = %d compute cycles, want 40", got)
+	}
+	if c.ComputeArray(7) != c.ComputeArray(7) {
+		t.Fatal("a touched array was recreated")
 	}
 }
 
