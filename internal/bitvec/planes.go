@@ -128,6 +128,44 @@ func UnpackPlanes(planes []Vec256, n int, vals []uint64) {
 	}
 }
 
+// PackWords transposes len(vals) n-bit elements into n bit planes of
+// words = ⌈len(vals)/64⌉ uint64 words each, plane i occupying
+// planes[i·words, (i+1)·words): bit l of plane i is bit i of vals[l].
+// It is PackPlanes for an element count that is not tied to one array's
+// 256 bit lines — a pixel's channels, say — so the planes can later be
+// placed at any lane offset with OrBits. n must be in [1, 64] and
+// len(planes) at least n·words.
+func PackWords(vals []uint64, n int, planes []uint64) {
+	words := (len(vals) + 63) / 64
+	var pw [64]uint64
+	for w := 0; w < words; w++ {
+		lo := w * 64
+		Pack64(vals[lo:min(lo+64, len(vals))], n, pw[:n])
+		for i := 0; i < n; i++ {
+			planes[i*words+w] = pw[i]
+		}
+	}
+}
+
+// OrBits ORs the bit string src (bit b of the string is bit b%64 of
+// src[b/64]) into dst starting at bit offset off, shifting across word
+// boundaries, so a field may straddle two words of dst. Every set bit of
+// src must land inside dst.
+func OrBits(dst []uint64, off int, src []uint64) {
+	w, sh := off>>6, uint(off&63)
+	for k, v := range src {
+		if v == 0 {
+			continue
+		}
+		dst[w+k] |= v << sh
+		if sh != 0 {
+			if hi := v >> (64 - sh); hi != 0 {
+				dst[w+k+1] |= hi
+			}
+		}
+	}
+}
+
 // PackPlanesRef is the bit-by-bit specification of PackPlanes, kept as
 // the oracle for property tests.
 func PackPlanesRef(vals []uint64, n int, planes []Vec256) {
