@@ -68,38 +68,47 @@ func FuzzPackPlanes(f *testing.F) {
 	})
 }
 
-// FuzzOrBits checks window assembly from pre-packed fields against a
+// FuzzOrRepeat checks window assembly from pre-packed fields against a
 // per-lane PackPlanes of the same lanes. Fields of width c sit every
-// stride lanes starting at lane start; each field is packed once with
-// PackWords and its planes ORed into place with OrBits. Widths, strides
-// and starts that are not multiples of 64 make fields straddle words.
-func FuzzOrBits(f *testing.F) {
-	f.Add(uint8(7), uint16(4), uint16(4), uint8(0), []byte("\x01\x02\x03\x04\x05\x06\x07\x08\xff"))
-	f.Add(uint8(7), uint16(40), uint16(50), uint8(30), []byte("\xff\xff\xff\xff\xff\xff\xff\xff\x80"))
-	f.Add(uint8(3), uint16(255), uint16(256), uint8(1), []byte{0x0f, 0xf0, 0x3c})
-	f.Fuzz(func(t *testing.T, nb uint8, cb, sb uint16, start uint8, data []byte) {
+// stride lanes from lane start, in runs of up to run fields that share
+// one value (a conv window's output channels share its pixel). Each run's
+// value is packed once with PackWords and its planes placed with
+// OrRepeat, which falls back to OrBits for fields wider than a word.
+// Widths, strides and starts that are not multiples of 64 make fields
+// straddle words.
+func FuzzOrRepeat(f *testing.F) {
+	f.Add(uint8(7), uint16(4), uint16(4), uint8(0), uint8(8), []byte("\x01\x02\x03\x04\x05\x06\x07\x08\xff"))
+	f.Add(uint8(7), uint16(40), uint16(50), uint8(30), uint8(1), []byte("\xff\xff\xff\xff\xff\xff\xff\xff\x80"))
+	f.Add(uint8(3), uint16(255), uint16(256), uint8(1), uint8(3), []byte{0x0f, 0xf0, 0x3c})
+	f.Fuzz(func(t *testing.T, nb uint8, cb, sb uint16, start, rb uint8, data []byte) {
 		n := int(nb)%64 + 1
 		c := int(cb)%Bits + 1
 		stride := c + int(sb)%(Bits-c+1)
 		lo := int(start) % (Bits - c + 1)
+		run := int(rb)%32 + 1
+		fields := (Bits-c-lo)/stride + 1
 		lanes := make([]uint64, Bits)
 		words := make([]uint64, n*Words)
-		field := make([]uint64, n*((c+63)/64))
 		fw := (c + 63) / 64
-		for slot, off := 0, lo; off+c <= Bits; slot, off = slot+1, off+stride {
-			vals := fuzzVals(data[min(len(data), 8*slot):], c, n)
-			copy(lanes[off:], vals)
-			PackWords(vals, n, field)
+		packed := make([]uint64, n*fw)
+		for first := 0; first < fields; first += run {
+			count := min(run, fields-first)
+			vals := fuzzVals(data[min(len(data), 8*first):], c, n)
+			off := lo + first*stride
+			for k := 0; k < count; k++ {
+				copy(lanes[off+k*stride:], vals)
+			}
+			PackWords(vals, n, packed)
 			for i := 0; i < n; i++ {
-				OrBits(words[i*Words:(i+1)*Words], off, field[i*fw:(i+1)*fw])
+				OrRepeat(words[i*Words:(i+1)*Words], off, stride, count, packed[i*fw:(i+1)*fw])
 			}
 		}
 		want := make([]Vec256, n)
 		PackPlanes(lanes, n, want)
 		for i := range want {
 			if got := Vec256(words[i*Words : (i+1)*Words]); got != want[i] {
-				t.Fatalf("n=%d c=%d stride=%d start=%d plane %d:\n got %v\nwant %v",
-					n, c, stride, lo, i, got, want[i])
+				t.Fatalf("n=%d c=%d stride=%d start=%d run=%d plane %d:\n got %v\nwant %v",
+					n, c, stride, lo, run, i, got, want[i])
 			}
 		}
 	})

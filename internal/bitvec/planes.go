@@ -133,7 +133,7 @@ func UnpackPlanes(planes []Vec256, n int, vals []uint64) {
 // planes[i·words, (i+1)·words): bit l of plane i is bit i of vals[l].
 // It is PackPlanes for an element count that is not tied to one array's
 // 256 bit lines — a pixel's channels, say — so the planes can later be
-// placed at any lane offset with OrBits. n must be in [1, 64] and
+// placed at any lane offset with OrBits or OrRepeat. n must be in [1, 64] and
 // len(planes) at least n·words.
 func PackWords(vals []uint64, n int, planes []uint64) {
 	words := (len(vals) + 63) / 64
@@ -158,11 +158,44 @@ func OrBits(dst []uint64, off int, src []uint64) {
 			continue
 		}
 		dst[w+k] |= v << sh
-		if sh != 0 {
-			if hi := v >> (64 - sh); hi != 0 {
-				dst[w+k+1] |= hi
-			}
+		if hi := v >> (64 - sh); hi != 0 {
+			dst[w+k+1] |= hi
 		}
+	}
+}
+
+// OrRepeat ORs count copies of the bit string src into dst, copy k at bit
+// offset off+k·stride, as count OrBits calls would. Every set bit of src
+// must lie below stride, so copies never overlap, and inside dst. A
+// one-word src with a stride below 64 is replicated with one multiply per
+// destination word: since the copies are disjoint, src·Σ2^(t·stride) is
+// their OR.
+func OrRepeat(dst []uint64, off, stride, count int, src []uint64) {
+	if len(src) != 1 || stride >= 64 {
+		for k := 0; k < count; k++ {
+			OrBits(dst, off+k*stride, src)
+		}
+		return
+	}
+	v := src[0]
+	if v == 0 {
+		return
+	}
+	for count > 0 {
+		w, sh := off>>6, uint(off&63)
+		n := min(count, (64-int(sh)+stride-1)/stride) // copies starting in word w
+		rep := uint64(1)
+		for c := 1; c < n; c *= 2 {
+			rep |= rep << uint(c*stride)
+		}
+		rep &= 1<<uint((n-1)*stride+1) - 1
+		hi, lo := bits.Mul64(v, rep)
+		dst[w] |= lo << sh
+		if spill := hi<<sh | lo>>(64-sh); spill != 0 {
+			dst[w+1] |= spill
+		}
+		off += n * stride
+		count -= n
 	}
 }
 

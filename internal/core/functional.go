@@ -137,6 +137,7 @@ func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject F
 		inject:  inject,
 		touched: make([]bool, s.cfg.Geometry.ComputeArrays()),
 		workers: workers,
+		scratch: make([]*scratch, workers),
 	}
 	f.skip.Enabled = s.cfg.SkipZeroSlices
 	out, err := f.seq(net.Layers, in)
@@ -168,6 +169,7 @@ type funcExec struct {
 	touched []bool // per-ordinal first-use marker (injection + ArraysUsed)
 	inject  FaultInjector
 	workers int
+	scratch []*scratch // per-worker host buffers, created on first use
 
 	// Inter-array reduce and zero-skip accounting, merged from per-group
 	// shares in ascending group order after each parallel section.
@@ -188,6 +190,35 @@ type groupShare struct {
 	skippedSlices uint64 // multiplier bit-slices the wired-OR flag elided
 	totalSlices   uint64 // bit-slices the skipping ops examined
 	skipSaved     uint64 // compute cycles the elided slices would have cost
+}
+
+// scratch is one worker's reusable host buffers for staging operands.
+// runGroups hands a worker the same scratch for every group it runs, in
+// every layer of the run, so the buffers are allocated once per worker
+// instead of once per group. A group must not assume they arrive zeroed.
+// Sizes cover the widest group: an array pair with 8-bit operands.
+type scratch struct {
+	lanes  [2 * sram.BitLines]uint64    // a lane column per array of the group
+	words  [8 * 2 * bitvec.Words]uint64 // assembled pair-wide input planes
+	planes [8]bitvec.Vec256             // one array's packed planes
+	sums   [sram.BitLines]int64         // per-slot host Σq_a
+}
+
+// scratchFor returns worker w's scratch, creating it on first use. Only
+// worker w, or the calling goroutine between parallel sections, may call
+// it for w.
+func (f *funcExec) scratchFor(w int) *scratch {
+	if f.scratch[w] == nil {
+		f.scratch[w] = new(scratch)
+	}
+	return f.scratch[w]
+}
+
+// column returns the first n lanes of the scratch lane column, zeroed.
+func (sc *scratch) column(n int) []uint64 {
+	col := sc.lanes[:n]
+	clear(col)
+	return col
 }
 
 // arrayFor hands out the compute array with the given ordinal; the cache
@@ -214,8 +245,9 @@ func (f *funcExec) arrayFor(ordinal int) *sram.Array {
 // collide through cursor wrap-around (g ≡ g' mod computeArrays/K) belong
 // to the same collision class and are pinned to one worker, which
 // processes them in ascending order. Every array therefore receives
-// exactly the sequential op stream, for any worker count.
-func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []*sram.Array, acct *groupShare) error) error {
+// exactly the sequential op stream, for any worker count. Each worker
+// hands its own scratch to every group it runs.
+func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error) error {
 	if nGroups <= 0 {
 		return nil
 	}
@@ -247,6 +279,7 @@ func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []
 	errs := make([]error, nGroups)
 	run := func(worker int) {
 		arrs := make([]*sram.Array, arraysPerGroup)
+		sc := f.scratchFor(worker)
 		for g := 0; g < nGroups; g++ {
 			if w > 1 && (g%cycle)%w != worker {
 				continue
@@ -254,7 +287,7 @@ func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []
 			for j := range arrs {
 				arrs[j] = f.arrayFor((start + g*arraysPerGroup + j) % n)
 			}
-			if err := fn(g, arrs, &shares[g]); err != nil {
+			if err := fn(g, arrs, &shares[g], sc); err != nil {
 				errs[g] = err
 				return
 			}
@@ -370,6 +403,15 @@ func (f *funcExec) recordSkip(name string, fn func() error) error {
 // segment sums to the lead array over the intra-slice bus and finishes
 // the add in-array. Finally the group reads back ACC and Σq_a and applies
 // the correction zero_w·Σq_a and bias.
+//
+// The host transposes each operand once per layer, as the paper's §IV-C
+// transpose gateway does: every distinct filter image is packed into bit
+// planes before any group runs, and in the resident unsplit, unpacked
+// layout each input pixel's channels are packed once, so a group composes
+// its window planes by shifting those pixel fields into its slots' lanes.
+// Packed and split layouts gather their inputs lane by lane. Either way a
+// row receives exactly the planes WriteElements would pack, so rows,
+// faults and access cycles are unchanged.
 func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quant, bias []int32) ([]int64, error) {
 	L := plan.LanesPerConv
 	lay := plan.Layout
@@ -388,77 +430,82 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	lanesPerArray := min(L, sram.BitLines)
 	nGroups := (total + slotsPer - 1) / slotsPer
 	fabric := f.sys.cfg.Fabric
-
 	skipZero := f.sys.cfg.SkipZeroSlices
-	return accs, f.runGroups(nGroups, arraysPer, func(g int, arrs []*sram.Array, acct *groupShare) error {
+
+	filters := filterImages(plan, c, out, slotsPer, total, f.scratchFor(0))
+	var pixels []uint64
+	if plan.PackFactor == 1 && plan.SplitFactor == 1 {
+		pixels = pixelPlanes(c, x, ab)
+	}
+	fieldWords := (c.Cin + 63) / 64
+	planeWords := arraysPer * bitvec.Words
+
+	return accs, f.runGroups(nGroups, arraysPer, func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error {
 		base := g * slotsPer
 		slots := min(slotsPer, total-base)
+		filter := filters[imageKey{base % c.Cout, slots}]
 		// Flat lane columns across the group's arrays: array p stages the
 		// 256-lane window [p·256, (p+1)·256).
-		filterFlat := make([]uint64, arraysPer*sram.BitLines)
-		inputFlat := make([]uint64, arraysPer*sram.BitLines)
-		inPlanes := make([]bitvec.Vec256, 8)
-		saHost := make([]int64, slots)
+		inputFlat := sc.lanes[:arraysPer*sram.BitLines]
+		inPlanes := sc.planes[:ab]
+		saHost := sc.sums[:slots]
+		clear(saHost)
 
-		// The gather pair assembles MAC step j's operand bytes lane by
-		// lane — separately, because the streamed-input MAC phase consumes
-		// fresh input bytes against filters that were staged once. The
-		// unsplit/unpacked layout keeps operands channel-contiguous in the
-		// tensors, so each slot's L lanes bulk-copy from one tensor row.
-		fillFilter := func(j int) {
-			for i := range filterFlat {
-				filterFlat[i] = 0
-			}
-			for slot := 0; slot < slots; slot++ {
-				_, _, m := decodeConv(base+slot, out)
-				dst := filterFlat[slot*L : slot*L+L]
-				if plan.PackFactor == 1 && plan.SplitFactor == 1 {
-					row := c.Filter.Data[(m*c.R*c.S+j)*c.Cin:]
-					for lane := 0; lane < min(L, c.Cin); lane++ {
-						dst[lane] = uint64(row[lane])
-					}
-					continue
-				}
-				for lane := 0; lane < L; lane++ {
-					pos, ch := operandIndex(plan, lane, j)
-					dst[lane] = uint64(filterByte(c, m, pos, ch))
-				}
-			}
-		}
-		fillInput := func(j int) {
-			for i := range inputFlat {
-				inputFlat[i] = 0
-			}
+		// gatherInput assembles MAC step j's input bytes lane by lane for
+		// the packed and split layouts.
+		gatherInput := func(j int) {
+			clear(inputFlat)
 			for slot := 0; slot < slots; slot++ {
 				e, fw, _ := decodeConv(base+slot, out)
 				h0 := e*c.Stride - c.PadH
 				w0 := fw*c.Stride - c.PadW
 				dst := inputFlat[slot*L : slot*L+L]
-				if plan.PackFactor == 1 && plan.SplitFactor == 1 {
-					h, wd := h0+j/c.S, w0+j%c.S
-					if h < 0 || h >= x.Shape.H || wd < 0 || wd >= x.Shape.W {
-						continue
-					}
-					row := x.Data[(h*x.Shape.W+wd)*x.Shape.C:]
-					for lane := 0; lane < min(L, c.Cin); lane++ {
-						dst[lane] = uint64(row[lane])
-					}
-					continue
-				}
-				for lane := 0; lane < L; lane++ {
+				for lane := range dst {
 					pos, ch := operandIndex(plan, lane, j)
 					dst[lane] = uint64(inputByte(c, x, h0, w0, pos, ch))
 				}
 			}
 		}
+		// stageWindow writes MAC step j's resident input planes in the
+		// unsplit, unpacked layout: plane i ORs each slot's pixel field i
+		// in at lane slot·L; a padding pixel leaves its lanes zero. Slots
+		// sharing an output pixel (one per output channel) share a field,
+		// so each run of them is placed with one OrRepeat.
+		stageWindow := func(j int) {
+			words := sc.words[:ab*planeWords]
+			clear(words)
+			for slot := 0; slot < slots; {
+				idx := base + slot
+				run := min(c.Cout-idx%c.Cout, slots-slot)
+				e, fw, _ := decodeConv(idx, out)
+				h := e*c.Stride - c.PadH + j/c.S
+				wd := fw*c.Stride - c.PadW + j%c.S
+				if h >= 0 && h < x.Shape.H && wd >= 0 && wd < x.Shape.W {
+					px := pixels[(h*x.Shape.W+wd)*ab*fieldWords:]
+					for i := 0; i < ab; i++ {
+						bitvec.OrRepeat(words[i*planeWords:(i+1)*planeWords], slot*L, L, run, px[i*fieldWords:(i+1)*fieldWords])
+					}
+				}
+				slot += run
+			}
+			for p, arr := range arrs {
+				for i := range inPlanes {
+					inPlanes[i] = bitvec.Vec256(words[i*planeWords+p*bitvec.Words:])
+				}
+				arr.WritePlanes(lay.InputRow()+ab*j, ab, inPlanes, sram.BitLines)
+			}
+		}
 
 		for j := 0; j < plan.EffFilter; j++ {
-			fillFilter(j)
 			for p, arr := range arrs {
-				arr.WriteElements(lay.FilterRow()+wb*j, wb, filterFlat[p*sram.BitLines:(p+1)*sram.BitLines])
+				arr.WritePlanes(lay.FilterRow()+wb*j, wb, filter[(j*arraysPer+p)*wb:][:wb], sram.BitLines)
 			}
-			if !plan.InputStreamed {
-				fillInput(j)
+			switch {
+			case plan.InputStreamed:
+			case pixels != nil:
+				stageWindow(j)
+			default:
+				gatherInput(j)
 				for p, arr := range arrs {
 					arr.WriteElements(lay.InputRow()+ab*j, ab, inputFlat[p*sram.BitLines:(p+1)*sram.BitLines])
 				}
@@ -478,7 +525,7 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 				// into the host's Σq_a by popcounting each plane over the
 				// slot's lane window (Σ 2^i · ones(plane_i)) — the word-
 				// packed replacement for a per-lane accumulation loop.
-				fillInput(j)
+				gatherInput(j)
 				inRow = lay.InputRow()
 				for p, arr := range arrs {
 					vals := inputFlat[p*sram.BitLines : (p+1)*sram.BitLines]
@@ -490,8 +537,8 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 							}
 						}
 					}
-					bitvec.PackPlanes(vals, ab, inPlanes[:ab])
-					arr.WritePlanes(inRow, ab, inPlanes[:ab], sram.BitLines)
+					bitvec.PackPlanes(vals, ab, inPlanes)
+					arr.WritePlanes(inRow, ab, inPlanes, sram.BitLines)
 					plo := p * sram.BitLines
 					for slot := 0; slot < slots; slot++ {
 						lo := slot*L - plo
@@ -591,6 +638,73 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	})
 }
 
+// imageKey identifies a group's filter image by the output channel of its
+// first slot and its slot count: consecutive slots take consecutive output
+// channels, so groups with equal keys stage identical filter bytes.
+type imageKey struct{ m0, slots int }
+
+// filterImages transposes each distinct filter image of the layer into
+// bit planes once, before any group runs — the host-side counterpart of
+// the paper keeping filters pre-transposed in DRAM (§IV-C). Image planes
+// for MAC step j on array p sit at [(j·ArraysPerConv+p)·wb, …+wb). It
+// gathers through sc's lane column. A weight wider than the plan's
+// WeightBits is a programming error.
+func filterImages(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, total int, sc *scratch) map[imageKey][]bitvec.Vec256 {
+	L, wb, arraysPer := plan.LanesPerConv, plan.WeightBits, plan.ArraysPerConv
+	flat := sc.lanes[:arraysPer*sram.BitLines]
+	images := map[imageKey][]bitvec.Vec256{}
+	for base := 0; base < total; base += slotsPer {
+		key := imageKey{base % out.C, min(slotsPer, total-base)}
+		if _, ok := images[key]; ok {
+			continue
+		}
+		img := make([]bitvec.Vec256, plan.EffFilter*arraysPer*wb)
+		for j := 0; j < plan.EffFilter; j++ {
+			clear(flat)
+			for slot := 0; slot < key.slots; slot++ {
+				m := (key.m0 + slot) % out.C
+				dst := flat[slot*L : slot*L+L]
+				for lane := range dst {
+					pos, ch := operandIndex(plan, lane, j)
+					v := filterByte(c, m, pos, ch)
+					if v>>uint(wb) != 0 {
+						panic(fmt.Sprintf("core: %s weight %#x at lane %d exceeds WeightBits=%d",
+							c.LayerName, v, lane, wb))
+					}
+					dst[lane] = uint64(v)
+				}
+			}
+			for p := 0; p < arraysPer; p++ {
+				bitvec.PackPlanes(flat[p*sram.BitLines:(p+1)*sram.BitLines], wb, img[(j*arraysPer+p)*wb:])
+			}
+		}
+		images[key] = img
+	}
+	return images
+}
+
+// pixelPlanes transposes every input pixel's Cin channel bytes into ab
+// bit planes of ⌈Cin/64⌉ words, once per layer: pixel (h, w) occupies
+// [(h·W+w)·ab·⌈Cin/64⌉, …). An input wider than ActBits is a programming
+// error, as it is for the streamed layouts.
+func pixelPlanes(c *nn.Conv2D, x *tensor.Quant, ab int) []uint64 {
+	fieldWords := (c.Cin + 63) / 64
+	pixels := x.Shape.H * x.Shape.W
+	planes := make([]uint64, pixels*ab*fieldWords)
+	vals := make([]uint64, c.Cin)
+	for px := 0; px < pixels; px++ {
+		for ch, v := range x.Data[px*c.Cin : (px+1)*c.Cin] {
+			if v>>uint(ab) != 0 {
+				panic(fmt.Sprintf("core: %s input %#x at channel %d exceeds ActBits=%d",
+					c.LayerName, v, ch, ab))
+			}
+			vals[ch] = uint64(v)
+		}
+		bitvec.PackWords(vals, ab, planes[px*ab*fieldWords:])
+	}
+	return planes
+}
+
 // decodeConv converts a flat convolution index to (e, f, m), matching the
 // reference executor's output order ((e·W + f)·C + m).
 func decodeConv(idx int, out tensor.Shape) (e, fw, m int) {
@@ -628,11 +742,11 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 	)
 
 	nGroups := (total + sram.BitLines - 1) / sram.BitLines
-	return out, f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare) error {
+	return out, f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare, sc *scratch) error {
 		arr := arrs[0]
 		base := g * sram.BitLines
 		slots := min(sram.BitLines, total-base)
-		col := make([]uint64, sram.BitLines)
+		col := sc.lanes[:sram.BitLines]
 		width := 8
 		if p.Kind == nn.AvgPool {
 			width = 16
@@ -640,9 +754,7 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 		arr.Zero(accRow, width, false)
 		for wpos := 0; wpos < plan.Window; wpos++ {
 			r, s := wpos/p.S, wpos%p.S
-			for i := range col {
-				col[i] = 0
-			}
+			clear(col)
 			for slot := 0; slot < slots; slot++ {
 				e, fw, ch := decodeConv(base+slot, placed.Out)
 				h := e*p.Stride - p.PadH + r
@@ -698,11 +810,11 @@ func (f *funcExec) residual(r *nn.Residual, x *tensor.Quant) (*tensor.Quant, err
 	qa, qb := nn.ResidualOperands(body, short)
 	sums := make([]int64, len(qa))
 	nGroups := (len(qa) + sram.BitLines - 1) / sram.BitLines
-	err = f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare) error {
+	err = f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare, sc *scratch) error {
 		arr := arrs[0]
 		base := g * sram.BitLines
 		slots := min(sram.BitLines, len(qa)-base)
-		col := make([]uint64, sram.BitLines)
+		col := sc.column(sram.BitLines)
 		for s := 0; s < slots; s++ {
 			col[s] = uint64(qa[base+s])
 		}
@@ -747,11 +859,11 @@ func (f *funcExec) batchNorm(b *nn.BatchNorm, x *tensor.Quant) (*tensor.Quant, e
 	skipZero := f.sys.cfg.SkipZeroSlices
 	nGroups := (total + sram.BitLines - 1) / sram.BitLines
 	err := f.recordSkip(b.Name(), func() error {
-		return f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, acct *groupShare) error {
+		return f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error {
 			arr := arrs[0]
 			base := g * sram.BitLines
 			slots := min(sram.BitLines, total-base)
-			col := make([]uint64, sram.BitLines)
+			col := sc.column(sram.BitLines)
 			for s := 0; s < slots; s++ {
 				col[s] = uint64(x.Data[base+s])
 			}
