@@ -144,6 +144,11 @@ var (
 	ErrClosed = errors.New("serve: server closed")
 )
 
+// ErrBackendPanic is wrapped in Response.Err for every request of a batch
+// whose Backend.Execute panicked. The server recovers the panic, fails
+// that batch only and keeps serving.
+var ErrBackendPanic = errors.New("serve: backend panicked")
+
 // Options configures admission, batching and scheduling. The zero value
 // is usable: every field defaults sensibly in New/Simulate.
 type Options struct {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -24,7 +25,8 @@ type Response struct {
 	// backend, which models time rather than values.
 	Result *neuralcache.InferenceResult
 	// Err is the failure, if any. A batch-level execution failure fails
-	// every request of the batch.
+	// every request of the batch; a panic inside Backend.Execute fails it
+	// with an error wrapping ErrBackendPanic.
 	Err error
 	// Shard is the replica group that served the request. A request
 	// canceled before dispatch never reached a group: its Shard is
@@ -615,11 +617,11 @@ func (s *Server) dispatch(mi int, now time.Duration) {
 		for i, r := range live {
 			inputs[i] = r.input
 		}
-		// The batch runs under the server's lifetime, not any one
-		// request's ctx: a replica group shares one staged weight set, so
-		// a single submitter's cancellation must not fail its batchmates.
-		results, err := s.backend.Execute(context.Background(), model, inputs, !warm, s.groupSize)
+		results, err := s.execute(model, inputs, !warm)
 		done := time.Now()
+		if errors.Is(err, ErrBackendPanic) {
+			s.tracer.Mark("backend panic", "executor", "terrible", done.Sub(s.started))
+		}
 		// Update counters before delivering responses: a caller that has
 		// drained its response channels must see this batch in Stats().
 		s.stats.Lock()
@@ -692,6 +694,22 @@ func (s *Server) dispatch(mi int, now time.Duration) {
 		}
 		s.release(id)
 	}()
+}
+
+// execute runs one batch on the backend, turning a panic inside
+// Backend.Execute into the batch's error: its requests fail with
+// ErrBackendPanic, its group is released as after any failed batch, and
+// the server keeps serving.
+func (s *Server) execute(model string, inputs []*neuralcache.Tensor, cold bool) (results []*neuralcache.InferenceResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			results, err = nil, fmt.Errorf("%w: %s batch of %d: %v", ErrBackendPanic, model, len(inputs), p)
+		}
+	}()
+	// The batch runs under the server's lifetime, not any one request's
+	// ctx: a replica group shares one staged weight set, so a single
+	// submitter's cancellation must not fail its batchmates.
+	return s.backend.Execute(context.Background(), model, inputs, cold, s.groupSize)
 }
 
 // Close stops admission, wakes Submits blocked on a full queue (they
