@@ -235,11 +235,13 @@ func BenchmarkFunctionalSmallCNN(b *testing.B) {
 }
 
 // BenchmarkRunFunctional measures a full bit-accurate in-cache inference
-// at different worker-pool sizes. The outputs, traces and cycle stats are
-// bit-identical across all of them (locked in by
-// core.TestParallelGoldenEquivalence); only wall-clock time changes. On a
-// multi-core host, workers=4 should run ≥ 2× faster than workers=1; on a
-// single-core CI runner the sub-benchmarks merely document the knob.
+// at different worker-pool sizes on one slice, and on the default 14-slice
+// LLC (fullLLC), whose 4480 arrays a run must not pay for when it touches
+// a few dozen. The outputs, traces and cycle stats are bit-identical
+// across all of them (locked in by core.TestParallelGoldenEquivalence and
+// core.TestFunctionalGolden); only wall-clock time and host bytes change.
+// On a multi-core host, workers=4 should run ≥ 2× faster than workers=1;
+// on a single-core CI runner the sub-benchmarks merely document the knob.
 func BenchmarkRunFunctional(b *testing.B) {
 	m := neuralcache.SmallCNN()
 	m.InitWeights(1)
@@ -248,11 +250,8 @@ func BenchmarkRunFunctional(b *testing.B) {
 	for i := range in.Data {
 		in.Data[i] = uint8(i * 7)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			cfg := neuralcache.DefaultConfig()
-			cfg.Slices = 1
-			cfg.Workers = workers
+	run := func(name string, cfg neuralcache.Config) {
+		b.Run(name, func(b *testing.B) {
 			sys, err := neuralcache.New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -268,6 +267,13 @@ func BenchmarkRunFunctional(b *testing.B) {
 			b.ReportMetric(float64(res.ComputeCycles), "array_cycles")
 		})
 	}
+	for _, workers := range []int{1, 2, 4} {
+		cfg := neuralcache.DefaultConfig()
+		cfg.Slices = 1
+		cfg.Workers = workers
+		run(fmt.Sprintf("workers%d", workers), cfg)
+	}
+	run("fullLLC", neuralcache.DefaultConfig())
 }
 
 // BenchmarkRunFunctionalSparse measures zero-slice skipping on the
