@@ -196,9 +196,10 @@ type groupShare struct {
 // runGroups hands a worker the same scratch for every group it runs, in
 // every layer of the run, so the buffers are allocated once per worker
 // instead of once per group. A group must not assume they arrive zeroed.
-// Sizes cover the widest group: an array pair with 8-bit operands.
+// The fixed sizes cover the widest group: an array pair with 8-bit
+// operands.
 type scratch struct {
-	lanes  [2 * sram.BitLines]uint64    // a lane column per array of the group
+	lanes  []uint64                     // lane column, grown by column
 	words  [8 * 2 * bitvec.Words]uint64 // assembled pair-wide input planes
 	planes [8]bitvec.Vec256             // one array's packed planes
 	sums   [sram.BitLines]int64         // per-slot host Σq_a
@@ -214,8 +215,12 @@ func (f *funcExec) scratchFor(w int) *scratch {
 	return f.scratch[w]
 }
 
-// column returns the first n lanes of the scratch lane column, zeroed.
+// column returns an n-lane column, zeroed: one lane per bit line of
+// each array of a group.
 func (sc *scratch) column(n int) []uint64 {
+	if len(sc.lanes) < n {
+		sc.lanes = make([]uint64, n)
+	}
 	col := sc.lanes[:n]
 	clear(col)
 	return col
@@ -446,7 +451,7 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 		filter := filters[imageKey{base % c.Cout, slots}]
 		// Flat lane columns across the group's arrays: array p stages the
 		// 256-lane window [p·256, (p+1)·256).
-		inputFlat := sc.lanes[:arraysPer*sram.BitLines]
+		inputFlat := sc.column(arraysPer * sram.BitLines)
 		inPlanes := sc.planes[:ab]
 		saHost := sc.sums[:slots]
 		clear(saHost)
@@ -651,7 +656,7 @@ type imageKey struct{ m0, slots int }
 // WeightBits is a programming error.
 func filterImages(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, total int, sc *scratch) map[imageKey][]bitvec.Vec256 {
 	L, wb, arraysPer := plan.LanesPerConv, plan.WeightBits, plan.ArraysPerConv
-	flat := sc.lanes[:arraysPer*sram.BitLines]
+	flat := sc.column(arraysPer * sram.BitLines)
 	images := map[imageKey][]bitvec.Vec256{}
 	for base := 0; base < total; base += slotsPer {
 		key := imageKey{base % out.C, min(slotsPer, total-base)}
@@ -746,7 +751,7 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 		arr := arrs[0]
 		base := g * sram.BitLines
 		slots := min(sram.BitLines, total-base)
-		col := sc.lanes[:sram.BitLines]
+		col := sc.column(sram.BitLines)
 		width := 8
 		if p.Kind == nn.AvgPool {
 			width = 16
