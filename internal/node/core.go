@@ -128,8 +128,14 @@ func (c *Core[T]) Controller() *plan.Controller { return c.ctrl }
 func (c *Core[T]) Push(mi int, at time.Duration, item T) {
 	q := &c.queues[mi]
 	if q.head > 4096 && q.head > len(q.at)/2 {
+		// Compact, then clear the vacated tail: it still holds copies of
+		// the moved items, which would outlive the driver clearing them
+		// at their new positions once popped.
+		n := len(q.at) - q.head
 		q.at = append(q.at[:0], q.at[q.head:]...)
-		q.items = append(q.items[:0], q.items[q.head:]...)
+		copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
 		q.head = 0
 	}
 	q.at = append(q.at, at)

@@ -190,3 +190,32 @@ func TestArrivalsSingleEpoch(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueCompactionKeepsNothingAlive: when a queue that never empties
+// compacts, the slots it vacates must not keep copies of the moved
+// items. A driver clears items only at the positions Pop hands out, so
+// a stale copy would keep a served request alive.
+func TestQueueCompactionKeepsNothingAlive(t *testing.T) {
+	c := New[*int](Config{Models: []string{"A"}, Groups: 1, MaxBatch: 4}, &recorder{})
+	for i := 0; i < 8; i++ {
+		c.Push(0, 0, new(int))
+	}
+	for popped := 0; popped <= 4096; {
+		_, items := c.Pop(0)
+		popped += len(items)
+		clear(items)
+		for range items {
+			c.Push(0, 0, new(int))
+		}
+	}
+	c.Push(0, 0, new(int)) // head > 4096: compacts first
+	q := c.queues[0]
+	if q.head != 0 || len(q.items) != c.Len(0) {
+		t.Fatalf("queue did not compact: head %d, %d items, Len %d", q.head, len(q.items), c.Len(0))
+	}
+	for i, it := range q.items[len(q.items):cap(q.items)] {
+		if it != nil {
+			t.Fatalf("vacated slot %d still holds an item", len(q.items)+i)
+		}
+	}
+}
