@@ -73,7 +73,7 @@ func FuzzPackPlanes(f *testing.F) {
 // stride lanes from lane start, in runs of up to run fields that share
 // one value (a conv window's output channels share its pixel). Each run's
 // value is packed once with PackWords and its planes placed with
-// OrRepeat, which falls back to OrBits for fields wider than a word.
+// OrRepeat, which falls back to orBits for fields wider than a word.
 // Widths, strides and starts that are not multiples of 64 make fields
 // straddle words.
 func FuzzOrRepeat(f *testing.F) {

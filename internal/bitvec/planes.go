@@ -133,7 +133,7 @@ func UnpackPlanes(planes []Vec256, n int, vals []uint64) {
 // planes[i·words, (i+1)·words): bit l of plane i is bit i of vals[l].
 // It is PackPlanes for an element count that is not tied to one array's
 // 256 bit lines — a pixel's channels, say — so the planes can later be
-// placed at any lane offset with OrBits or OrRepeat. n must be in [1, 64] and
+// placed at any lane offset with OrRepeat. n must be in [1, 64] and
 // len(planes) at least n·words.
 func PackWords(vals []uint64, n int, planes []uint64) {
 	words := (len(vals) + 63) / 64
@@ -147,11 +147,11 @@ func PackWords(vals []uint64, n int, planes []uint64) {
 	}
 }
 
-// OrBits ORs the bit string src (bit b of the string is bit b%64 of
+// orBits ORs the bit string src (bit b of the string is bit b%64 of
 // src[b/64]) into dst starting at bit offset off, shifting across word
 // boundaries, so a field may straddle two words of dst. Every set bit of
 // src must land inside dst.
-func OrBits(dst []uint64, off int, src []uint64) {
+func orBits(dst []uint64, off int, src []uint64) {
 	w, sh := off>>6, uint(off&63)
 	for k, v := range src {
 		if v == 0 {
@@ -165,7 +165,7 @@ func OrBits(dst []uint64, off int, src []uint64) {
 }
 
 // OrRepeat ORs count copies of the bit string src into dst, copy k at bit
-// offset off+k·stride, as count OrBits calls would. Every set bit of src
+// offset off+k·stride, as count orBits calls would. Every set bit of src
 // must lie below stride, so copies never overlap, and inside dst. A
 // one-word src with a stride below 64 is replicated with one multiply per
 // destination word: since the copies are disjoint, src·Σ2^(t·stride) is
@@ -173,7 +173,7 @@ func OrBits(dst []uint64, off int, src []uint64) {
 func OrRepeat(dst []uint64, off, stride, count int, src []uint64) {
 	if len(src) != 1 || stride >= 64 {
 		for k := 0; k < count; k++ {
-			OrBits(dst, off+k*stride, src)
+			orBits(dst, off+k*stride, src)
 		}
 		return
 	}

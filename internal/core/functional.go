@@ -437,10 +437,15 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	fabric := f.sys.cfg.Fabric
 	skipZero := f.sys.cfg.SkipZeroSlices
 
-	filters := filterImages(plan, c, out, slotsPer, total, f.scratchFor(0))
+	filters, err := filterImages(plan, c, out, slotsPer, total, f.scratchFor(0))
+	if err != nil {
+		return nil, err
+	}
 	var pixels []uint64
 	if plan.PackFactor == 1 && plan.SplitFactor == 1 {
-		pixels = pixelPlanes(c, x, ab)
+		if pixels, err = pixelPlanes(c, x, ab); err != nil {
+			return nil, err
+		}
 	}
 	fieldWords := (c.Cin + 63) / 64
 	planeWords := arraysPer * bitvec.Words
@@ -534,12 +539,10 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 				inRow = lay.InputRow()
 				for p, arr := range arrs {
 					vals := inputFlat[p*sram.BitLines : (p+1)*sram.BitLines]
-					if ab < 8 {
-						for lane, v := range vals {
-							if v>>uint(ab) != 0 {
-								panic(fmt.Sprintf("core: %s input %#x at lane %d exceeds ActBits=%d",
-									c.LayerName, v, lane, ab))
-							}
+					for lane, v := range vals {
+						if v>>uint(ab) != 0 {
+							return fmt.Errorf("core: %s input %#x at lane %d exceeds ActBits=%d",
+								c.LayerName, v, lane, ab)
 						}
 					}
 					bitvec.PackPlanes(vals, ab, inPlanes)
@@ -652,9 +655,9 @@ type imageKey struct{ m0, slots int }
 // bit planes once, before any group runs — the host-side counterpart of
 // the paper keeping filters pre-transposed in DRAM (§IV-C). Image planes
 // for MAC step j on array p sit at [(j·ArraysPerConv+p)·wb, …+wb). It
-// gathers through sc's lane column. A weight wider than the plan's
-// WeightBits is a programming error.
-func filterImages(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, total int, sc *scratch) map[imageKey][]bitvec.Vec256 {
+// gathers through sc's lane column and rejects a weight wider than the
+// plan's WeightBits.
+func filterImages(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, total int, sc *scratch) (map[imageKey][]bitvec.Vec256, error) {
 	L, wb, arraysPer := plan.LanesPerConv, plan.WeightBits, plan.ArraysPerConv
 	flat := sc.column(arraysPer * sram.BitLines)
 	images := map[imageKey][]bitvec.Vec256{}
@@ -673,8 +676,8 @@ func filterImages(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsP
 					pos, ch := operandIndex(plan, lane, j)
 					v := filterByte(c, m, pos, ch)
 					if v>>uint(wb) != 0 {
-						panic(fmt.Sprintf("core: %s weight %#x at lane %d exceeds WeightBits=%d",
-							c.LayerName, v, lane, wb))
+						return nil, fmt.Errorf("core: %s weight %#x of output channel %d exceeds WeightBits=%d",
+							c.LayerName, v, m, wb)
 					}
 					dst[lane] = uint64(v)
 				}
@@ -685,14 +688,14 @@ func filterImages(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsP
 		}
 		images[key] = img
 	}
-	return images
+	return images, nil
 }
 
 // pixelPlanes transposes every input pixel's Cin channel bytes into ab
 // bit planes of ⌈Cin/64⌉ words, once per layer: pixel (h, w) occupies
-// [(h·W+w)·ab·⌈Cin/64⌉, …). An input wider than ActBits is a programming
-// error, as it is for the streamed layouts.
-func pixelPlanes(c *nn.Conv2D, x *tensor.Quant, ab int) []uint64 {
+// [(h·W+w)·ab·⌈Cin/64⌉, …). It rejects an input wider than ActBits, as
+// the streamed layouts do.
+func pixelPlanes(c *nn.Conv2D, x *tensor.Quant, ab int) ([]uint64, error) {
 	fieldWords := (c.Cin + 63) / 64
 	pixels := x.Shape.H * x.Shape.W
 	planes := make([]uint64, pixels*ab*fieldWords)
@@ -700,14 +703,14 @@ func pixelPlanes(c *nn.Conv2D, x *tensor.Quant, ab int) []uint64 {
 	for px := 0; px < pixels; px++ {
 		for ch, v := range x.Data[px*c.Cin : (px+1)*c.Cin] {
 			if v>>uint(ab) != 0 {
-				panic(fmt.Sprintf("core: %s input %#x at channel %d exceeds ActBits=%d",
-					c.LayerName, v, ch, ab))
+				return nil, fmt.Errorf("core: %s input %#x at channel %d exceeds ActBits=%d",
+					c.LayerName, v, ch, ab)
 			}
 			vals[ch] = uint64(v)
 		}
 		bitvec.PackWords(vals, ab, planes[px*ab*fieldWords:])
 	}
-	return planes
+	return planes, nil
 }
 
 // decodeConv converts a flat convolution index to (e, f, m), matching the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"neuralcache/internal/nn"
@@ -323,5 +324,30 @@ func TestResNet18Estimate(t *testing.T) {
 	}
 	if rep.Seconds[PhaseQuant] <= 0 {
 		t.Error("residual combines charged no time")
+	}
+}
+
+// TestFunctionalRejectsWideInputs: a layer that declares 4-bit
+// activations returns an error, not a panic, when its input bytes do not
+// fit — in the resident layout (3×3, inputs packed once per layer) and
+// in the streamed layout (packed 1×1).
+func TestFunctionalRejectsWideInputs(t *testing.T) {
+	for _, c := range []*nn.Conv2D{
+		{LayerName: "resident", LayerGroup: "c", R: 3, S: 3, Cin: 4, Cout: 4, Stride: 1, PadH: 1, PadW: 1, ActBits: 4},
+		{LayerName: "streamed", LayerGroup: "c", R: 1, S: 1, Cin: 8, Cout: 4, Stride: 1, ActBits: 4},
+	} {
+		net := &nn.Network{Name: c.LayerName, Input: tensor.Shape{H: 4, W: 4, C: c.Cin}, Layers: []nn.Layer{c}}
+		net.InitWeights(1)
+		in := tensor.NewQuant(net.Input, 1.0/255)
+		for i := range in.Data {
+			in.Data[i] = 0x0f
+		}
+		if _, err := smallSystem(t).RunFunctional(net, in); err != nil {
+			t.Fatalf("%s: in-range input rejected: %v", c.LayerName, err)
+		}
+		in.Data[len(in.Data)/2] = 0x10
+		if _, err := smallSystem(t).RunFunctional(net, in); err == nil || !strings.Contains(err.Error(), "exceeds ActBits=4") {
+			t.Errorf("%s: 5-bit input with ActBits=4: err %v", c.LayerName, err)
+		}
 	}
 }
