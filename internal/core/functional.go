@@ -301,15 +301,25 @@ func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []
 	if w <= 1 {
 		run(0)
 	} else {
+		// A panic in a worker is re-raised on the calling goroutine once
+		// every worker has stopped, so a caller that recovers panics (a
+		// serving executor, say) sees it instead of losing the process.
+		panics := make([]any, w)
 		var wg sync.WaitGroup
 		for worker := 0; worker < w; worker++ {
 			wg.Add(1)
 			go func(worker int) {
 				defer wg.Done()
+				defer func() { panics[worker] = recover() }()
 				run(worker)
 			}(worker)
 		}
 		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 	}
 	for g := range shares {
 		f.fabric.Add(shares[g].traffic)

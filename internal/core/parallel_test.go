@@ -231,6 +231,27 @@ func TestFunctionalFaultyParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicReachesCaller: a panic inside a pool worker (here a
+// fault injector) is re-raised on the goroutine that called the engine,
+// where a serving executor can recover it, instead of killing the
+// process from a goroutine nobody can recover.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	net := nn.SmallCNN()
+	net.InitWeights(1)
+	in := randQuant(net.Input, 1)
+	defer func() {
+		if p := recover(); p != "injector failed" {
+			t.Fatalf("recovered %v, want the worker's panic", p)
+		}
+	}()
+	_, _ = systemWithWorkers(t, 4).RunFunctionalFaulty(net, in, func(ordinal int, _ *sram.Array) {
+		if ordinal == 5 {
+			panic("injector failed")
+		}
+	})
+	t.Fatal("the engine returned after a worker panicked")
+}
+
 // TestConfigRejectsNegativeWorkers: the Workers knob validates.
 func TestConfigRejectsNegativeWorkers(t *testing.T) {
 	cfg := DefaultConfig().WithSlices(1)

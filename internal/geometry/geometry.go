@@ -249,11 +249,11 @@ func (c *Cache) ForEachComputeArray(fn func(addr ArrayAddr, a *sram.Array)) {
 func (c *Cache) IOWay() int { return c.cfg.WaysPerSlice - c.cfg.ReservedCPUWays - 1 }
 
 // Stats sums the cycle counters of every array created so far, in fixed
-// flat-index order (an array never touched has spent no cycles). This is the deterministic merge point of the parallel
-// functional engine: workers never share an array, each array's counters
-// depend only on its own op stream, and the summation order here is
-// independent of how many goroutines produced them. Call it only after
-// all workers have quiesced.
+// flat-index order (an array never touched has spent no cycles). This is
+// the deterministic merge point of the parallel functional engine:
+// workers never share an array, each array's counters depend only on its
+// own op stream, and the summation order here is independent of how many
+// goroutines produced them. Call it only after all workers have quiesced.
 func (c *Cache) Stats() sram.Stats {
 	var s sram.Stats
 	for _, a := range c.arrays {
